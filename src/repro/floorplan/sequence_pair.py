@@ -71,9 +71,8 @@ class ArrayPacker:
     Mirrors :func:`pack` on flat numpy arrays indexed by block id
     (position in the sorted name list). The per-block maxima are exact,
     so coordinates, chip extents and hence anything derived from them
-    are bit-identical to the reference sweep — the annealer's
-    incremental path relies on that to keep its trajectory equal to the
-    object path's.
+    are bit-identical to the reference sweep — the annealer relies on
+    that to keep its trajectory equal to the object-path oracle's.
 
     The sweep can restart mid-sequence (``start``): a block's position
     only depends on blocks *earlier* in ``gamma_minus``, so after a

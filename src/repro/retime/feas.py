@@ -1,70 +1,25 @@
-"""The FEAS algorithm (Leiserson & Saxe) for period feasibility.
+"""Arrival times: the longest register-free path delay into each unit.
 
-``feas_labels`` decides whether a clock period is achievable — and
-returns a legal retiming if so — *without* W/D matrices or explicit
-clocking constraints: repeat up to ``|V| - 1`` times
-
-1. compute arrival times ``Delta(v)`` (longest register-free path
-   delay into ``v``) on the currently-retimed graph;
-2. increment ``r(v)`` for every vertex with ``Delta(v) > T``;
-
-and accept iff the final arrival times meet ``T``. This makes each
-feasibility probe O(V * E) on the circuit itself, which is why the
-minimum-period binary search uses it instead of the constraint-system
-route (the latter materialises up to O(V^2) clocking constraints per
-probe).
-
-Host handling: FEAS is only correct when the host is free to drift
-(labels are normalised by subtracting the host's label afterwards —
-legal because all retiming constraints are differences). Our graphs
-use a *split* host, so FEAS runs on a view in which the source and
-sink hosts are contracted into one vertex; the normalised labels then
-assign 0 to both. The contraction can create a zero-weight cycle when
-the circuit has a combinational input-to-output path with unregistered
-I/O; :func:`feas_labels` reports that case by raising
-:class:`ContractedCycleError` so callers can fall back to the
-constraint-based feasibility check (which handles it exactly).
+This is the inner step of Leiserson & Saxe's FEAS algorithm and the
+basis of the planner's timing reports. The production feasibility
+probe (:mod:`repro.retime.feas_probe`) vectorises the same recurrence;
+classic host-contracted FEAS lives on as a test oracle in
+``tests/oracles/feas.py``, which reuses :func:`_arrival` here.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import RetimingError
 from repro.netlist.graph import CircuitGraph
 
-_EPS = 1e-9
-
-#: Synthetic name of the contracted host vertex.
-_CONTRACTED = "__feas_host__"
-
 
 class ContractedCycleError(RetimingError):
-    """Host contraction produced a zero-weight cycle (combinational
-    I/O path with unregistered hosts); FEAS does not apply."""
-
-
-def _contracted_view(
-    graph: CircuitGraph,
-) -> Tuple[List[str], Dict[str, int], List[Tuple[int, int, int]], List[float]]:
-    """Vertices, index, edges ``(u, v, w)`` and delays with hosts merged."""
-    hosts = set(graph.host_units())
-    units = [v for v in graph.units() if v not in hosts]
-    if hosts:
-        units.append(_CONTRACTED)
-    index = {v: i for i, v in enumerate(units)}
-
-    def idx(v: str) -> int:
-        return index[_CONTRACTED] if v in hosts else index[v]
-
-    edges = [
-        (idx(u), idx(v), w)
-        for (u, v, _k), w in graph.connections()
-        if not (u in hosts and v in hosts)
-    ]
-    delays = [0.0 if v == _CONTRACTED else graph.delay(v) for v in units]
-    return units, index, edges, delays
+    """The register-free subgraph is cyclic, so arrival times are
+    undefined (for host-contracted FEAS: a combinational I/O path with
+    unregistered hosts)."""
 
 
 def _arrival(
@@ -98,10 +53,7 @@ def _arrival(
             if indeg[v] == 0:
                 queue.append(v)
     if visited != n:
-        raise ContractedCycleError(
-            "zero-weight cycle in (host-contracted) graph; "
-            "fall back to the constraint-based feasibility check"
-        )
+        raise ContractedCycleError("zero-weight cycle in (host-contracted) graph")
     return delta
 
 
@@ -121,50 +73,3 @@ def arrival_times(graph: CircuitGraph) -> Dict[str, float]:
     except ContractedCycleError as exc:
         raise RetimingError("combinational (zero-weight) cycle") from exc
     return dict(zip(units, delta))
-
-
-def feas_labels(
-    graph: CircuitGraph,
-    period: float,
-    max_iterations: Optional[int] = None,
-    on_cycle_fallback: bool = True,
-) -> Optional[Dict[str, int]]:
-    """A retiming achieving ``period`` (hosts at 0), or ``None``.
-
-    When host contraction yields a zero-weight cycle and
-    ``on_cycle_fallback`` is set, the exact constraint-based check is
-    used instead; otherwise :class:`ContractedCycleError` propagates.
-    """
-    units, index, edges, delays = _contracted_view(graph)
-    n = len(units)
-    labels = [0] * n
-    iterations = max_iterations if max_iterations is not None else max(1, n - 1)
-    try:
-        for _ in range(iterations):
-            delta = _arrival(n, edges, delays, labels)
-            violating = [i for i in range(n) if delta[i] > period + _EPS]
-            if not violating:
-                break
-            for i in violating:
-                labels[i] += 1
-        delta = _arrival(n, edges, delays, labels)
-    except ContractedCycleError:
-        if not on_cycle_fallback:
-            raise
-        return _constraint_fallback(graph, period)
-    if any(d > period + _EPS for d in delta):
-        return None
-
-    hosts = set(graph.host_units())
-    shift = labels[index[_CONTRACTED]] if hosts else 0
-    out = {v: labels[i] - shift for v, i in index.items() if v != _CONTRACTED}
-    for h in hosts:
-        out[h] = 0
-    return out
-
-
-def _constraint_fallback(graph: CircuitGraph, period: float) -> Optional[Dict[str, int]]:
-    """Exact feasibility via difference constraints (split hosts kept)."""
-    from repro.retime.minperiod import is_feasible_period
-
-    return is_feasible_period(graph, period)

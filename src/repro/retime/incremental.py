@@ -14,30 +14,29 @@ a solver model build, and a cold solve.
 * Bellman–Ford over those arcs runs once, at construction — which is
   also where an infeasible system (negative-cost constraint cycle)
   surfaces, as :class:`InfeasiblePeriodError`;
-* re-solves are warm-started from the previous optimum, with two
-  interchangeable engines (``engine="auto"`` picks the best one
-  available):
+* re-solves are warm-started from the previous optimum. The engine is
+  chosen by the platform, not by the caller:
 
-  - ``"highs"`` — the retiming LP ``min c^T r`` s.t.
-    ``r_u - r_v <= b`` is loaded once into a persistent HiGHS model
-    (the compiled solver bundled with scipy); each round only the
-    objective column costs change, so dual simplex restarts from the
-    previous round's optimal basis. The constraint matrix is totally
-    unimodular, so every vertex solution is integral.
-  - ``"ssp"`` — the in-house successive-shortest-path solver
+  - HiGHS, whenever scipy's vendored bindings import
+    (:func:`_load_highs`) — the retiming LP ``min c^T r`` s.t.
+    ``r_u - r_v <= b`` is loaded once into a persistent HiGHS model;
+    each round only the objective column costs change, so dual simplex
+    restarts from the previous round's optimal basis. The constraint
+    matrix is totally unimodular, so every vertex solution is integral.
+  - otherwise the in-house successive-shortest-path solver
     (:class:`repro.retime.mcf._Network`) on the LP's flow dual; node
     potentials carry over between solves (at an optimum every forward
     arc keeps residual capacity, so the final potentials price all
     arcs non-negatively and remain valid Dijkstra potentials after a
-    flow reset — no fresh Bellman–Ford). Pure Python; the fallback
-    when scipy's vendored HiGHS bindings are unavailable.
+    flow reset — no fresh Bellman–Ford). Pure Python.
 
 Each solve is an exact LP optimum either way — warm-starting changes
 where the search *starts*, not what it converges to — so the objective
 value matches a cold :func:`min_area_retiming` solve exactly (the test
 suite asserts this across synthetic circuits and all LAC rounds).
 Individual labels may differ between engines when the optimum is
-degenerate; only the objective value is canonical.
+degenerate; only the objective value is canonical. The test suite
+forces the SSP engine by patching :func:`_load_highs` to return None.
 """
 
 from __future__ import annotations
@@ -176,25 +175,21 @@ class IncrementalMinArea:
             read, once, at construction).
         system: The difference-constraint system (edge + host +
             clocking) for the target period.
-        engine: ``"auto"`` (HiGHS when available, else SSP),
-            ``"highs"``, or ``"ssp"``.
+        compiled: Optional :class:`repro.compile.CompiledCircuit` of
+            ``graph``, whose vertex order and gather arrays are reused.
 
     Raises:
         InfeasiblePeriodError: The system has no solution (negative
             constraint cycle) — raised at construction, since no
             reweighting can fix it.
-        ValueError: Unknown engine name.
     """
 
     def __init__(
         self,
         graph: CircuitGraph,
         system: ConstraintSystem,
-        engine: str = "auto",
         compiled=None,
     ):
-        if engine not in ("auto", "highs", "ssp"):
-            raise ValueError(f"unknown engine {engine!r}")
         start = time.perf_counter()
         self.graph = graph
         self.system = system
@@ -210,8 +205,7 @@ class IncrementalMinArea:
             index = {u: i for i, u in enumerate(self._order)}
         self._index = index
 
-        # one arc per (u, v) pair, collapsed to the tightest bound —
-        # exactly what solve_retiming_dual builds per call.
+        # one arc per (u, v) pair, collapsed to the tightest bound.
         best: Dict[tuple, float] = {}
         for c in system.constraints:
             key = (c.u, c.v)
@@ -247,17 +241,15 @@ class IncrementalMinArea:
             raise InfeasiblePeriodError(system.period, str(exc)) from exc
 
         self._highs: Optional[_HighsEngine] = None
-        if engine in ("auto", "highs"):
-            try:
-                self._highs = _HighsEngine(
-                    len(self._order),
-                    self._net._bf_tails,
-                    self._net._bf_heads,
-                    self._net._bf_costs,
-                )
-            except RuntimeError:
-                if engine == "highs":
-                    raise
+        try:
+            self._highs = _HighsEngine(
+                len(self._order),
+                self._net._bf_tails,
+                self._net._bf_heads,
+                self._net._bf_costs,
+            )
+        except RuntimeError:
+            pass  # no usable HiGHS: the SSP network solves instead
         self.engine = "highs" if self._highs is not None else "ssp"
         self.stats = IncrementalStats(engine=self.engine)
         self.stats.bellman_ford_runs += 1

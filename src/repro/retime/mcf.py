@@ -1,9 +1,10 @@
 """Minimum-cost flow via successive shortest paths (from scratch).
 
-The retiming LP dual (:mod:`repro.retime.flow`) needs a min-cost-flow
-solver; this module provides one that does not depend on networkx,
-implementing the *successive shortest augmenting path* algorithm with
-Johnson potentials:
+The warm-started LAC solver (:mod:`repro.retime.incremental`) falls
+back to this network when scipy's HiGHS bindings are unavailable. It
+solves the retiming LP's flow dual without networkx, implementing the
+*successive shortest augmenting path* algorithm with Johnson
+potentials:
 
 1. initial potentials by Bellman–Ford over all arcs (costs may be
    negative; a negative cycle means the problem is unbounded, i.e. the
@@ -19,7 +20,7 @@ capacities), so forward arcs never saturate; only backward (residual)
 arcs can. With integer demands and costs the result is integral.
 
 The implementation is engineered for repeated solves over one network
-(:mod:`repro.retime.incremental` re-solves across LAC rounds):
+(LAC re-solves across rounds):
 
 * **flat storage** — arc heads/costs live in per-node adjacency tuples
   plus parallel numpy arrays; flows are a single list indexed by
@@ -47,13 +48,11 @@ retiming dual the potentials directly provide optimal labels
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import InfeasibleConstraintsError, UnboundedObjectiveError
-
-Node = Hashable
 
 _INF = float("inf")
 _EPS = 1e-12
@@ -67,7 +66,7 @@ _ROOT_EXHAUSTED = 3
 
 
 class _Network:
-    """Flat residual network shared by the one-shot and incremental solvers.
+    """Flat residual network, re-solved across LAC rounds.
 
     Forward arc ``k`` (``tails[k] -> heads[k]``, cost ``costs[k]``) has
     unlimited capacity; its backward twin has capacity equal to the
@@ -284,113 +283,3 @@ class _Network:
         if saturated:
             return _SATURATED
         return _ROOT_EXHAUSTED if excess[root] <= _TOL else _OK
-
-
-class MinCostFlow:
-    """A min-cost-flow instance over hashable node ids."""
-
-    def __init__(self):
-        self._index: Dict[Node, int] = {}
-        self._nodes: List[Node] = []
-        self._demand: List[float] = []
-        # arcs accumulate as parallel lists; the flat network is
-        # assembled once, inside solve().
-        self._arc_tail: List[int] = []
-        self._arc_head: List[int] = []
-        self._arc_cost: List[float] = []
-        self._net: Optional[_Network] = None
-        self._pair_arcs: Optional[Dict[Tuple[int, int], List[int]]] = None
-
-    # ------------------------------------------------------------------
-    def _node(self, name: Node) -> int:
-        if name not in self._index:
-            self._index[name] = len(self._nodes)
-            self._nodes.append(name)
-            self._demand.append(0.0)
-        return self._index[name]
-
-    def add_node(self, name: Node, demand: float = 0.0) -> None:
-        """Declare ``name`` with ``demand`` (> 0 wants inflow)."""
-        i = self._node(name)
-        self._demand[i] += demand
-
-    def add_arc(self, u: Node, v: Node, cost: float) -> None:
-        """Directed arc ``u -> v`` with unlimited capacity and ``cost``."""
-        self._arc_tail.append(self._node(u))
-        self._arc_head.append(self._node(v))
-        self._arc_cost.append(float(cost))
-        self._net = None
-        self._pair_arcs = None
-
-    # ------------------------------------------------------------------
-    def solve(self) -> Tuple[float, Dict[Node, float]]:
-        """Run successive shortest paths.
-
-        Returns ``(total_cost, potentials)`` where potentials are the
-        shortest-path node potentials at optimality.
-
-        Raises:
-            UnboundedObjectiveError: demands cannot be satisfied
-                (excess cannot reach deficit).
-            InfeasibleConstraintsError: a negative-cost cycle with
-                unbounded capacity exists.
-        """
-        demand = self._demand
-        if demand and abs(sum(demand)) > _TOL:
-            raise ValueError("demands must sum to zero")
-        self._net = _Network(
-            len(self._nodes), self._arc_tail, self._arc_head, self._arc_cost
-        )
-        potential = self._net.bellman_ford()
-        excess = [-d for d in demand]
-        cost_total, _n_aug = self._net.run_ssp(excess, potential)
-        potentials = {
-            self._nodes[i]: potential[i] for i in range(len(self._nodes))
-        }
-        return cost_total, potentials
-
-    def flow_on(self, u: Node, v: Node) -> float:
-        """Total flow currently routed on arcs ``u -> v``."""
-        ui = self._index.get(u)
-        vi = self._index.get(v)
-        if ui is None or vi is None or self._net is None:
-            return 0.0
-        if self._pair_arcs is None:
-            # indexed lookup built once: (tail, head) -> forward arc ids
-            pairs: Dict[Tuple[int, int], List[int]] = {}
-            for k in range(len(self._arc_tail)):
-                key = (self._arc_tail[k], self._arc_head[k])
-                pairs.setdefault(key, []).append(k)
-            self._pair_arcs = pairs
-        arcs = self._pair_arcs.get((ui, vi))
-        if not arcs:
-            return 0.0
-        return float(sum(self._net.flow[k] for k in arcs))
-
-
-def solve_retiming_dual(
-    constraints: Sequence, objective: Mapping[Node, float]
-) -> Dict[Node, int]:
-    """Solve the retiming LP with the in-house solver.
-
-    Same contract as :func:`repro.retime.flow.optimal_labels` (see
-    there for the duality derivation): node demand ``c_v``, one arc per
-    constraint with cost = bound, optimal labels = ``-potential``.
-    """
-    mcf = MinCostFlow()
-    for node, coeff in objective.items():
-        mcf.add_node(node, demand=float(int(round(coeff))))
-    best: Dict[Tuple[Node, Node], float] = {}
-    for c in constraints:
-        key = (c.u, c.v)
-        if key not in best or c.bound < best[key]:
-            best[key] = c.bound
-    for (u, v), bound in best.items():
-        mcf.add_node(u)
-        mcf.add_node(v)
-        mcf.add_arc(u, v, float(bound))
-    try:
-        _cost, potentials = mcf.solve()
-    except UnboundedObjectiveError:
-        raise
-    return {node: -int(round(p)) for node, p in potentials.items()}

@@ -1,14 +1,14 @@
 """Property tests: array kernels must match their reference paths.
 
 The annealer, the FM pass and the sequence-pair packer each have an
-array-backed fast path and an object-based reference path. These tests
-assert bit-identical agreement — not approximate agreement — because
+array-backed production path and an object-based reference (the
+annealer's and FM's live in ``tests/oracles``). These tests assert
+bit-identical agreement — not approximate agreement — because
 benchmark reproducibility (BENCH_N result files) depends on the fast
 paths producing the exact same trajectories.
 """
 
 import random
-from typing import Dict, List, Set, Tuple
 
 import pytest
 
@@ -16,6 +16,8 @@ from repro.floorplan.annealer import SequencePairAnnealer, anneal_multistart
 from repro.floorplan.blocks import Block
 from repro.floorplan.sequence_pair import overlaps, pack, pack_arrays
 from repro.partition.fm import FMBipartitioner
+from tests.oracles.annealer import ObjectAnnealer
+from tests.oracles.fm import reference_fm_pass
 
 
 def random_blocks(n_blocks: int, seed: int):
@@ -52,8 +54,8 @@ class TestAnnealerPathsAgree:
     @pytest.mark.parametrize("seed", range(6))
     def test_incremental_matches_reference(self, seed):
         blocks, pairs = random_blocks(2 + seed * 2, seed)
-        inc = SequencePairAnnealer(blocks, pairs, seed=seed, incremental=True)
-        ref = SequencePairAnnealer(blocks, pairs, seed=seed, incremental=False)
+        inc = SequencePairAnnealer(blocks, pairs, seed=seed)
+        ref = ObjectAnnealer(blocks, pairs, seed=seed)
         result_inc = inc.run(iterations=300)
         result_ref = ref.run(iterations=300)
         assert result_inc == result_ref
@@ -94,51 +96,6 @@ class TestPackArrays:
             pack_arrays(["B0"], ["B0", "B1"], by_name)
 
 
-def _reference_fm_pass(
-    fm: FMBipartitioner, side: Dict[str, int]
-) -> Tuple[bool, Dict[str, int]]:
-    """The historical dict-based FM pass, kept verbatim as the oracle."""
-    side = dict(side)
-    area = [0.0, 0.0]
-    for c in fm.cells:
-        area[side[c]] += fm.areas[c]
-    locked: Set[str] = set()
-    history: List[Tuple[str, int]] = []
-    cum_gain = 0
-    best_prefix = 0
-    best_gain = 0
-
-    for _ in range(len(fm.cells)):
-        best_cell = None
-        best_cell_gain = None
-        for c in fm.cells:
-            if c in locked:
-                continue
-            target = 1 - side[c]
-            if area[target] + fm.areas[c] > fm.max_side_area:
-                continue
-            g = fm._gain(c, side)
-            if best_cell_gain is None or g > best_cell_gain:
-                best_cell = c
-                best_cell_gain = g
-        if best_cell is None:
-            break
-        locked.add(best_cell)
-        s = side[best_cell]
-        area[s] -= fm.areas[best_cell]
-        area[1 - s] += fm.areas[best_cell]
-        side[best_cell] = 1 - s
-        cum_gain += best_cell_gain
-        history.append((best_cell, best_cell_gain))
-        if cum_gain > best_gain:
-            best_gain = cum_gain
-            best_prefix = len(history)
-
-    for cell, _g in history[best_prefix:]:
-        side[cell] = 1 - side[cell]
-    return best_gain > 0, side
-
-
 def random_fm_instance(seed: int) -> FMBipartitioner:
     r = random.Random(seed)
     n = r.randint(4, 40)
@@ -157,7 +114,7 @@ class TestFMArrayPassAgrees:
         fm = random_fm_instance(seed)
         side = fm._initial_partition()
         for _ in range(3):
-            ref_improved, ref_side = _reference_fm_pass(fm, side)
+            ref_improved, ref_side = reference_fm_pass(fm, side)
             arr_improved, arr_side = fm._one_pass(side)
             assert arr_improved == ref_improved
             assert arr_side == ref_side
@@ -173,7 +130,7 @@ class TestFMArrayPassAgrees:
         best = dict(side_b)
         best_cut = fm_b.cut_size(side_b)
         for _ in range(8):
-            improved, side_b = _reference_fm_pass(fm_b, side_b)
+            improved, side_b = reference_fm_pass(fm_b, side_b)
             if fm_b.cut_size(side_b) < best_cut:
                 best_cut = fm_b.cut_size(side_b)
                 best = dict(side_b)

@@ -1,7 +1,8 @@
 """Tests for the FEAS algorithm and the vectorised feasibility checker.
 
-Both are cross-checked against the constraint-object reference
-(`is_feasible_period(use_fast=False)`). FEAS uses the classic
+Both are cross-checked against the constraint-object oracle
+(`tests.oracles.feas.constraint_feasible_labels`). FEAS (also an
+oracle, `tests.oracles.feas.feas_labels`) uses the classic
 *single-host* semantics (hosts contracted), which is sound but can be
 conservative relative to the split-host model on open circuits — the
 tests encode exactly that contract.
@@ -14,12 +15,12 @@ from repro.netlist import CircuitGraph, random_circuit, s27_graph
 from repro.retime import (
     arrival_times,
     clock_period,
-    feas_labels,
     is_feasible_period,
     min_period_retiming,
     wd_matrices,
 )
 from repro.retime.fastcheck import FeasibilityChecker
+from tests.oracles.feas import constraint_feasible_labels, feas_labels
 from tests.test_wd import correlator
 
 
@@ -97,7 +98,7 @@ class TestFastChecker:
         for frac in [1.0, 0.85, 0.7, 0.55, 0.4]:
             period = frac * t_init
             fast = checker.labels(period)
-            ref = is_feasible_period(g, period, wd, use_fast=False)
+            ref = constraint_feasible_labels(g, period, wd)
             assert (fast is None) == (ref is None), f"period {period}"
             if fast is not None:
                 # fast labels must be a genuine solution
@@ -116,7 +117,7 @@ class TestFastChecker:
         feasible = [
             t
             for t in candidate_periods(wd, tol=0.0)
-            if is_feasible_period(g, t, wd, use_fast=False) is not None
+            if constraint_feasible_labels(g, t, wd) is not None
         ]
         assert t_min == min(feasible)
 

@@ -1,21 +1,21 @@
-"""Tests for the sparse FEAS engine and the prober switch.
+"""Tests for the sparse FEAS engine and its Bellman–Ford fallback.
 
 Unlike :mod:`repro.retime.feas` (classic single-host FEAS, conservative
 on open circuits), :class:`FeasProbe` ties the split hosts' labels
 instead of contracting them and must therefore decide *exactly* the
 split-host feasibility question — the same one the Bellman–Ford
-checker and the constraint-object reference answer. These tests pin
-that equivalence, the warm-start contract, and T_min invariance across
-probers.
+checker and the constraint-object oracle answer. These tests pin
+that equivalence, the warm-start contract, and T_min invariance between
+the FEAS search and the dense fallback search.
 """
 
 import numpy as np
 import pytest
 
+import repro.retime.minperiod as minperiod
 from repro.errors import RetimingError
 from repro.netlist import CircuitGraph, random_circuit, s27_graph
 from repro.retime import (
-    PROBERS,
     FeasProbe,
     candidate_periods,
     clock_period,
@@ -23,7 +23,27 @@ from repro.retime import (
     min_period_retiming,
     wd_matrices,
 )
+from tests.oracles.feas import constraint_feasible_labels
 from tests.test_wd import correlator
+
+
+def t_min_by_engine(graph, monkeypatch):
+    """``T_min`` from the FEAS search and from the dense Bellman–Ford
+    fallback (forced by making :meth:`FeasProbe.build` reject the
+    graph), each checked to be achieved by its witness."""
+
+    def rejected(_graph):
+        raise RetimingError("forced fallback")
+
+    results = {}
+    for engine in ("feas", "bellman-ford"):
+        if engine == "bellman-ford":
+            monkeypatch.setattr(minperiod.FeasProbe, "build", rejected)
+        t_min, result = min_period_retiming(graph)
+        assert clock_period(result.graph) <= t_min + 1e-9
+        results[engine] = t_min
+    monkeypatch.undo()
+    return results
 
 
 class TestAgreement:
@@ -127,13 +147,9 @@ class TestWarmStart:
 
 class TestMinPeriodProbers:
     @pytest.mark.parametrize("seed", range(4))
-    def test_t_min_independent_of_prober(self, seed):
+    def test_t_min_independent_of_prober(self, seed, monkeypatch):
         g = random_circuit("fm", n_units=30, n_ffs=20, seed=seed)
-        results = {}
-        for prober in PROBERS:
-            t_min, result = min_period_retiming(g, prober=prober)
-            results[prober] = t_min
-            assert clock_period(result.graph) <= t_min + 1e-9
+        results = t_min_by_engine(g, monkeypatch)
         assert len(set(results.values())) == 1, results
 
     def test_t_min_equals_linear_scan(self):
@@ -147,17 +163,10 @@ class TestMinPeriodProbers:
         feasible = [
             t
             for t in candidate_periods(wd, tol=0.0)
-            if is_feasible_period(g, t, wd, use_fast=False) is not None
+            if constraint_feasible_labels(g, t, wd) is not None
         ]
         assert t_min == min(feasible)
 
-    def test_s27_t_min_independent_of_prober(self):
-        g = s27_graph()
-        periods = {
-            p: min_period_retiming(g, prober=p)[0] for p in PROBERS
-        }
+    def test_s27_t_min_independent_of_prober(self, monkeypatch):
+        periods = t_min_by_engine(s27_graph(), monkeypatch)
         assert len(set(periods.values())) == 1, periods
-
-    def test_unknown_prober_rejected(self):
-        with pytest.raises(RetimingError, match="prober"):
-            min_period_retiming(s27_graph(), prober="quantum")

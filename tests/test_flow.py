@@ -1,6 +1,7 @@
 """Tests for difference-constraint solvers (feasibility + LP optimum).
 
-``optimal_labels`` is cross-checked against brute-force enumeration of
+Feasibility is the Bellman–Ford oracle (``tests.oracles.feas``);
+``optimal_labels`` is the production LP and is cross-checked against brute-force enumeration of
 small integer label spaces, which validates the min-cost-flow duality
 and the potential-recovery step end to end.
 """
@@ -11,7 +12,8 @@ import random
 import pytest
 
 from repro.errors import InfeasibleConstraintsError, RetimingError
-from repro.retime import Constraint, feasible_labels, optimal_labels
+from repro.retime import Constraint, optimal_labels
+from tests.oracles.feas import feasible_labels
 
 
 def check(constraints, labels):

@@ -1,6 +1,8 @@
 """Tests for the in-house min-cost-flow solver and its retiming dual.
 
-Cross-checked three ways: against hand-computed flows, against the
+The production successive-shortest-path network (``repro.retime.mcf``)
+is driven through the hashable-node wrappers in ``tests/oracles/mcf.py``
+and cross-checked three ways: against hand-computed flows, against the
 networkx-based path (:func:`optimal_labels`), and against brute-force
 LP enumeration.
 """
@@ -20,7 +22,11 @@ from repro.retime import (
     optimal_labels,
     wd_matrices,
 )
-from repro.retime.mcf import MinCostFlow, solve_retiming_dual
+from tests.oracles.mcf import (
+    MinCostFlow,
+    min_area_retiming_ssp,
+    solve_retiming_dual,
+)
 
 
 class TestMinCostFlow:
@@ -138,26 +144,18 @@ class TestRetimingDual:
         wd = wd_matrices(g)
         period = clock_period(g, wd)
         system = build_constraint_system(g, wd, period)
-        from repro.retime import retiming_objective
-
-        labels = solve_retiming_dual(system.constraints, retiming_objective(g))
-        from repro.retime import normalise_labels
-
-        labels = normalise_labels(g, {v: labels.get(v, 0) for v in g.units()})
-        ours = g.retimed(labels).total_flip_flops()
+        ours = min_area_retiming_ssp(g, period, system=system).total_ffs
         reference = min_area_retiming(g, period, wd=wd, system=system).total_ffs
         assert ours == reference
 
 
 class TestBackendParameter:
+    """Full min-area retiming: SSP dual oracle vs production network
+    simplex (the two former ``backend=`` choices)."""
+
     def test_min_area_native_backend(self):
         g = random_circuit("bk", n_units=25, n_ffs=12, seed=5)
         period = clock_period(g)
-        a = min_area_retiming(g, period, backend="native")
-        b = min_area_retiming(g, period, backend="networkx")
+        a = min_area_retiming_ssp(g, period)
+        b = min_area_retiming(g, period)
         assert a.total_ffs == b.total_ffs
-
-    def test_unknown_backend_rejected(self):
-        g = random_circuit("bk2", n_units=10, n_ffs=5, seed=5)
-        with pytest.raises(ValueError, match="backend"):
-            min_area_retiming(g, clock_period(g), backend="magic")

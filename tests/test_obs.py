@@ -349,7 +349,7 @@ class TestPlannerTrace:
             assert r.attrs["n_f"] >= 0
             assert r.attrs["objective"] >= 0.0
             assert isinstance(r.attrs["violations"], dict)
-            assert r.attrs["engine"] in ("highs", "ssp", "cold")
+            assert r.attrs["engine"] in ("highs", "ssp")
         lac = doc.by_name("retime/lac")[0]
         assert all(r.parent_id == lac.span_id for r in rounds)
         assert lac.attrs["n_wr"] == len(rounds)
@@ -386,6 +386,10 @@ class TestPlannerTrace:
         assert "plan s27" in text
         assert "LAC convergence" in text
         assert "min-period search" in text
+        (search,) = doc.by_name("min_period/search")
+        assert search.attrs["engine"] in ("feas", "bellman-ford", "cache")
+        assert f"engine={search.attrs['engine']}," in text
+        assert "prober=" not in text
         assert "floorplan anneal" in text
         assert "stage" in text and "seconds" in text
 

@@ -4,11 +4,9 @@ import json
 
 import pytest
 
-from repro.experiments.circuits import get_circuit
 from repro.perf import (
     BENCH_SCHEMA,
     PerfRecorder,
-    bench_circuit,
     next_bench_path,
     run_bench,
     write_bench,
@@ -172,6 +170,7 @@ class TestBenchRunner:
     def test_document_schema(self, doc):
         assert doc["schema"] == BENCH_SCHEMA
         assert doc["mode"] == "warm"
+        assert doc["engine"] == doc["circuits"][0]["solver"]["engine"]
         assert doc["quick"] is True
         assert len(doc["circuits"]) == 1
         totals = doc["totals"]
@@ -197,12 +196,6 @@ class TestBenchRunner:
         assert 0.0 < entry["stage_coverage"] <= 1.5
         # recorded stages should dominate the wall clock
         assert entry["stage_coverage"] >= 0.8
-
-    def test_cold_mode_skips_solver_stats(self):
-        entry = bench_circuit(get_circuit("s298"), quick=True, cold=True)
-        assert entry["ok"] is True
-        assert entry["solver"] is None
-        assert entry["n_wr"] >= 1
 
     def test_entries_are_json_serialisable(self, doc):
         json.dumps(doc)

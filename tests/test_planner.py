@@ -17,7 +17,8 @@ from repro.core import (
     plan_interconnect,
 )
 from repro.netlist import random_circuit
-from repro.retime import clock_period, verify_retiming
+from repro.retime import clock_period
+from repro.verify import check_retiming_labels, critical_period
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +46,11 @@ class TestFlow:
 
     def test_retimings_verify(self, outcome):
         it = outcome.first
-        verify_retiming(it.expanded.graph, it.lac.retiming.labels, period=it.t_clk)
-        verify_retiming(
-            it.expanded.graph, it.min_area.result.labels, period=it.t_clk
-        )
+        for result in (it.lac.retiming, it.min_area.result):
+            assert not check_retiming_labels(
+                it.expanded.graph, result.labels, result.graph
+            )
+            assert critical_period(result.graph) <= it.t_clk + 1e-9
 
     def test_lac_not_worse_than_min_area(self, outcome):
         it = outcome.first
@@ -124,16 +126,16 @@ class TestConfig:
 
 class TestValidation:
     def test_validate_iteration_passes(self, outcome):
-        from repro.core import validate_iteration
+        from repro.verify import verify_iteration
 
-        checks = validate_iteration(outcome.first, outcome.config.tech)
-        assert len(checks) >= 6
+        certs = verify_iteration(outcome.first, outcome.config.tech)
+        assert len(certs) >= 6
+        assert all(cert.ok for cert in certs)
 
     def test_validate_detects_tampering(self, outcome):
         import copy
 
-        from repro.core import validate_iteration
-        from repro.errors import PlanningError
+        from repro.verify import verify_iteration
 
         tampered = copy.copy(outcome.first)
         tampered_report = copy.copy(tampered.lac.report)
@@ -141,8 +143,8 @@ class TestValidation:
         tampered_lac = copy.copy(tampered.lac)
         tampered_lac.report = tampered_report
         tampered.lac = tampered_lac
-        with pytest.raises(PlanningError):
-            validate_iteration(tampered, outcome.config.tech)
+        certs = verify_iteration(tampered, outcome.config.tech)
+        assert not all(cert.ok for cert in certs)
 
 
 class TestFlowReport:
@@ -234,7 +236,8 @@ class TestRepeaterBackends:
         )
         it = out.first
         assert it.lac is not None
-        verify_retiming(it.expanded.graph, it.lac.retiming.labels, period=it.t_clk)
+        assert not check_retiming_labels(it.expanded.graph, it.lac.retiming.labels)
+        assert critical_period(it.lac.retiming.graph) <= it.t_clk + 1e-9
         assert it.lac.report.n_foa <= it.min_area.report.n_foa
 
     def test_unknown_repeater_backend_rejected(self):
