@@ -6,8 +6,6 @@ Commands:
   Table-1 benchmark circuit (or ``s27``) and print the report;
 * ``table1 [names..]`` — regenerate the paper's Table 1 (all circuits
   or a subset; ``--jobs N`` runs circuits in parallel);
-* ``bench [names..]``  — time the planning flow per stage and write
-  ``BENCH_<n>.json`` (see :mod:`repro.perf.bench`);
 * ``verify [target]``  — without a target: retime s27 at minimum
   period and verify behavioural equivalence by gate-level simulation;
   with a target (a checkpoint directory, an ``outcome.ckpt`` file, or
@@ -17,10 +15,10 @@ Commands:
   outcome in memory first — the CI smoke test that the audit rejects
   what it must;
 * ``cache``            — manage the compiled-circuit cache
-  (``repro-compile/1`` artifacts used by ``plan``/``table1``/``bench``
-  via ``--cache-dir``): ``cache info`` lists artifacts, ``cache
-  clear`` empties the store, ``cache prewarm`` populates it by
-  planning the Table-1 suite once;
+  (``repro-compile/1`` artifacts used by ``plan``/``table1`` via
+  ``--cache-dir``): ``cache info`` lists artifacts, ``cache clear``
+  empties the store, ``cache prewarm`` populates it by planning the
+  Table-1 suite once;
 * ``serve``            — run the planning service daemon: a bounded
   persistent job queue, a supervised worker-process pool (crashed
   workers requeue and resume bit-identically from checkpoints), and
@@ -38,11 +36,11 @@ Commands:
   auto-detected from the header), ``trace flamegraph`` writes folded
   stacks for flamegraph.pl / speedscope.
 
-``bench history`` reads the whole ``BENCH_<n>.json`` series and prints
-the wall-clock / peak-RSS trajectory, flagging regressions between
-comparable runs; ``plan --metrics/--progress`` and ``table1
+``plan --trace`` followed by ``trace summarize`` gives one circuit's
+per-stage time table; ``plan --metrics/--progress`` and ``table1
 --trace-dir/--progress`` emit the metrics and live-event artifacts
-(see :mod:`repro.obs`).
+(see :mod:`repro.obs`). Benchmarks — repeated runs with noise
+tracking — live in ``perfbench/`` (``python3 perfbench/run.py``).
 
 ``-v`` / ``-vv`` (before the command) turn on INFO / DEBUG logging on
 stderr; the library itself never configures logging handlers.
@@ -212,34 +210,6 @@ def _cmd_table1(args) -> int:
     return table1_main(argv)
 
 
-def _cmd_bench(args) -> int:
-    from repro.perf.bench import main as bench_main
-
-    if args.names and args.names[0] == "history":
-        argv = ["history", "--dir", args.out]
-        if args.threshold is not None:
-            argv += ["--threshold", str(args.threshold)]
-        if args.fail_on_regression:
-            argv.append("--fail-on-regression")
-        return bench_main(argv)
-    if args.compare:
-        threshold = args.threshold if args.threshold is not None else 0.10
-        return bench_main(
-            ["--compare", *args.compare, "--threshold", str(threshold)]
-        )
-    argv = list(args.names)
-    if args.quick:
-        argv.append("--quick")
-    argv += ["--out", args.out]
-    if args.min_stage_coverage is not None:
-        argv += ["--min-stage-coverage", str(args.min_stage_coverage)]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.no_cache:
-        argv.append("--no-cache")
-    return bench_main(argv)
-
-
 def _cmd_verify(args) -> int:
     if args.target is None:
         if args.inject_result_fault:
@@ -378,7 +348,7 @@ def _cmd_cache(args) -> int:
         print(f"removed {removed} artifact(s) from {args.cache_dir}")
         return EXIT_OK
     # prewarm: compile (and solve-enrich) the suite into the cache by
-    # running the same plans table1 runs, so a later table1/bench run
+    # running the same plans table1 runs, so a later table1 run
     # over the same settings hits on every iteration.
     from repro.errors import ReproError
     from repro.experiments import TABLE1_CIRCUITS, get_circuit
@@ -723,58 +693,6 @@ def main(argv=None) -> int:
         "for a human stderr view (serial runs only)",
     )
     p_table.set_defaults(func=_cmd_table1)
-
-    p_bench = sub.add_parser(
-        "bench", help="time the planning flow per stage, write BENCH_<n>.json"
-    )
-    p_bench.add_argument(
-        "names",
-        nargs="*",
-        help="subset of circuit names, or the single word 'history' to "
-        "print the BENCH_<n>.json series trajectory",
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true", help="smoke subset, one iteration"
-    )
-    p_bench.add_argument(
-        "--out", default="benchmarks/results", metavar="DIR",
-        help="output directory (default: benchmarks/results)",
-    )
-    p_bench.add_argument(
-        "--min-stage-coverage", type=float, default=None, metavar="FRAC",
-        help="fail unless recorded stages cover at least this fraction "
-        "of each circuit's wall clock",
-    )
-    p_bench.add_argument(
-        "--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
-        help="compare two BENCH_<n>.json files instead of benching; "
-        "exits nonzero on timing or result regressions",
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=None, metavar="FRAC",
-        help="with --compare: allowed total wall-clock regression "
-        "(default 0.10); with history: flagged growth fraction "
-        "(default 0.25)",
-    )
-    p_bench.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help="with history: exit 1 when a regression between comparable "
-        "adjacent runs is flagged",
-    )
-    p_bench.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="share a compiled-circuit cache across the benched circuits "
-        "and record hit/miss counts in the report",
-    )
-    p_bench.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the compiled-circuit cache",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_verify = sub.add_parser(
         "verify",

@@ -81,6 +81,9 @@ log = logging.getLogger(__name__)
 FLOORPLAN_BACKENDS = ("sequence_pair", "slicing")
 REPEATER_BACKENDS = ("path", "tree")
 
+#: Seconds between background resource samples on an instrumented run.
+MONITOR_INTERVAL = 0.05
+
 
 @dataclasses.dataclass
 class PlannerConfig:
@@ -109,8 +112,6 @@ class PlannerConfig:
     trace_path: Optional[str] = None  # write a repro-trace/1 JSONL here
     metrics_path: Optional[str] = None  # repro-metrics/1 JSONL (+ .prom sibling)
     progress_path: Optional[str] = None  # repro-events/1 live stream ("-" = TTY)
-    monitor: bool = True  # sample RSS/CPU/GC while instrumented
-    monitor_interval: float = 0.05  # seconds between resource samples
     compile_cache_dir: Optional[str] = None  # compiled-circuit disk cache root
     compile_cache: str = "auto"  # "auto" | "off" | "readonly"
 
@@ -169,11 +170,6 @@ def validate_planner_config(config: PlannerConfig) -> None:
         raise PlanningError(
             "PlannerConfig.compile_cache must be one of "
             f"{', '.join(CACHE_MODES)}, got {config.compile_cache!r}"
-        )
-    if config.monitor_interval <= 0:
-        raise PlanningError(
-            "PlannerConfig.monitor_interval must be > 0, got "
-            f"{config.monitor_interval}"
         )
 
 
@@ -653,7 +649,6 @@ def plan_interconnect(
     config: Optional[PlannerConfig] = None,
     max_iterations: int = 2,
     faults: Optional[FaultInjector] = None,
-    perf=None,
     tracer=None,
     checkpoint=None,
     verify: bool = False,
@@ -703,20 +698,19 @@ def plan_interconnect(
     the run's span tree — stages, iterations, LAC rounds, FEAS probes.
     When ``config.trace_path`` is set the spans are also written there
     as ``repro-trace/1`` JSONL (on failure too, for post-mortems).
-    ``perf``, if given, is a :class:`repro.perf.PerfRecorder` whose
-    stage table is derived from those same spans. ``metrics`` (a
-    :class:`repro.obs.MetricsRegistry`, or one created when
-    ``config.metrics_path`` is set) is installed as ``tracer.metrics``
-    so every stage and solver meters into it; the registry is written
-    as ``repro-metrics/1`` JSONL to ``config.metrics_path`` plus a
-    Prometheus-text ``.prom`` sibling. ``progress`` (a
-    :class:`repro.obs.ProgressStream` / ``HumanProgress``, or one
-    opened from ``config.progress_path``) streams span open/close live
-    as ``repro-events/1``. Whenever any instrumentation is on and
-    ``config.monitor`` is true, a background
+    ``metrics`` (a :class:`repro.obs.MetricsRegistry`, or one created
+    when ``config.metrics_path`` is set) is installed as
+    ``tracer.metrics`` so every stage and solver meters into it; the
+    registry is written as ``repro-metrics/1`` JSONL to
+    ``config.metrics_path`` plus a Prometheus-text ``.prom`` sibling.
+    ``progress`` (a :class:`repro.obs.ProgressStream` /
+    ``HumanProgress``, or one opened from ``config.progress_path``)
+    streams span open/close live as ``repro-events/1``. Whenever any
+    instrumentation is on, a background
     :class:`repro.obs.ResourceSampler` attributes peak-RSS / CPU / GC
-    deltas to stage spans. With none of these requested, the flow runs
-    on the no-op tracer and pays ~nothing.
+    deltas to stage spans, sampling every :data:`MONITOR_INTERVAL`
+    seconds. With none of these requested, the flow runs on the no-op
+    tracer and pays ~nothing.
     """
     if config is None:
         config = PlannerConfig()
@@ -735,12 +729,11 @@ def plan_interconnect(
         trace_path
         or config.metrics_path
         or config.progress_path
-        or perf is not None
         or metrics is not None
         or progress is not None
     )
     if tracer is None:
-        # perf/metrics/progress all derive from spans, so any of them
+        # metrics/progress both derive from spans, so either of them
         # needs a real tracer even when no trace file was requested.
         if instrumented:
             # wall_start anchors the monotonic span clock to the epoch
@@ -765,10 +758,8 @@ def plan_interconnect(
     # The monitor listener attaches before the progress listener so
     # progress events for closing spans already carry resource stamps.
     sampler = None
-    if tracer.enabled and config.monitor:
-        sampler = ResourceSampler(
-            interval=config.monitor_interval, metrics=metrics
-        )
+    if tracer.enabled:
+        sampler = ResourceSampler(interval=MONITOR_INTERVAL, metrics=metrics)
         tracer.add_listener(sampler)
         sampler.start()
 
@@ -882,8 +873,6 @@ def plan_interconnect(
         outcome.converged,
         len(outcome.iterations),
     )
-    if perf is not None:
-        perf.ingest_spans(tracer.spans)
     return outcome
 
 

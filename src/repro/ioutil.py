@@ -1,6 +1,6 @@
 """Durable file I/O helpers shared by every on-disk artifact writer.
 
-Traces, bench documents, graph JSON and checkpoints are all written
+Traces, metrics, graph JSON and checkpoints are all written
 through :func:`atomic_write`: the bytes land in a temporary file in the
 *same directory*, are flushed and fsynced, and only then renamed over
 the destination with :func:`os.replace`. A crash — or a SIGKILL — at

@@ -183,9 +183,17 @@ def bench_to_graph(
 
 
 def load_bench(path: str, name: Optional[str] = None) -> CircuitGraph:
-    """Parse a ``.bench`` file from disk and convert it to a graph."""
-    with open(path) as f:
-        text = f.read()
+    """Parse a ``.bench`` file from disk and convert it to a graph.
+
+    Raises:
+        BenchParseError: The file is unreadable or not UTF-8 text
+            (naming the file), or not valid ``.bench``.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BenchParseError(f"cannot read .bench file {path}: {exc}") from exc
     netlist = parse_bench_text(text, name=name or path)
     return bench_to_graph(netlist)
 

@@ -27,6 +27,7 @@ connections are identified by ``(u, v, key)`` triples.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, List, Mapping, Optional, Tuple
 
 import networkx as nx
@@ -72,15 +73,19 @@ class CircuitGraph:
     ) -> str:
         """Add a functional, interconnect or host unit.
 
-        Raises :class:`NetlistError` on duplicate names, negative delay
-        or area, or an unknown kind.
+        Raises :class:`NetlistError` on duplicate names, negative or
+        non-finite delay or area, or an unknown kind.
         """
         if unit in self._g:
             raise NetlistError(f"duplicate unit {unit!r}")
         if delay < 0:
             raise NetlistError(f"unit {unit!r} has negative delay {delay}")
+        if not math.isfinite(delay):
+            raise NetlistError(f"unit {unit!r} has non-finite delay {delay}")
         if area < 0:
             raise NetlistError(f"unit {unit!r} has negative area {area}")
+        if not math.isfinite(area):
+            raise NetlistError(f"unit {unit!r} has non-finite area {area}")
         if kind not in _VALID_KINDS:
             raise NetlistError(f"unit {unit!r} has unknown kind {kind!r}")
         self._g.add_node(unit, delay=float(delay), area=float(area), kind=kind)
@@ -96,12 +101,17 @@ class CircuitGraph:
         return HOST_SRC, HOST_SNK
 
     def add_connection(self, u: str, v: str, weight: int = 0) -> ConnectionId:
-        """Connect ``u -> v`` with ``weight`` flip-flops; return its id."""
+        """Connect ``u -> v`` with ``weight`` flip-flops; return its id.
+
+        Raises :class:`NetlistError` on an unknown endpoint or a
+        negative or non-integral weight (``2.0`` is integral).
+        """
         for endpoint in (u, v):
             if endpoint not in self._g:
                 raise NetlistError(f"unknown unit {endpoint!r}")
         if weight < 0:
             raise NetlistError(f"connection {u!r}->{v!r} has negative weight {weight}")
+        _check_integral(weight, f"connection {u!r}->{v!r}")
         key = self._g.add_edge(u, v, weight=int(weight))
         self._wcc_cache = None
         return (u, v, key)
@@ -143,6 +153,7 @@ class CircuitGraph:
     def set_weight(self, cid: ConnectionId, weight: int) -> None:
         if weight < 0:
             raise NetlistError(f"connection {cid} assigned negative weight {weight}")
+        _check_integral(weight, f"connection {cid}")
         u, v, key = cid
         self._g.edges[u, v, key]["weight"] = int(weight)
 
@@ -293,6 +304,12 @@ class CircuitGraph:
         if not nx.is_directed_acyclic_graph(zero):
             cycle = nx.find_cycle(zero)
             raise NetlistError(f"combinational (zero-weight) cycle: {cycle}")
+
+
+def _check_integral(weight, where: str) -> None:
+    # int() would silently truncate 1.5 to 1 (and raise on NaN/inf).
+    if not math.isfinite(weight) or weight != int(weight):
+        raise NetlistError(f"{where} has non-integral weight {weight}")
 
 
 def make_unit_names(prefix: str, count: int) -> List[str]:

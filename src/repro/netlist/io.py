@@ -74,15 +74,15 @@ def load_graph(path: str) -> CircuitGraph:
     """Read a graph written by :func:`save_graph`.
 
     Raises:
-        NetlistError: The file is unreadable, not valid JSON
-            (truncated or garbled), not a JSON object, or missing
-            required fields — always naming the file and the problem,
-            never leaking a raw ``JSONDecodeError``/``KeyError``.
+        NetlistError: The file is unreadable, not UTF-8 text, not
+            valid JSON (truncated or garbled), not a JSON object, or
+            missing required fields — always naming the file and the
+            problem, never leaking a raw ``JSONDecodeError``/``KeyError``.
     """
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise NetlistError(f"cannot read circuit JSON {path}: {exc}") from exc
     try:
         data = json.loads(text)

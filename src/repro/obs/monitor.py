@@ -13,11 +13,9 @@ stamps it with:
   between open and close;
 * ``gc_collections`` — completed GC passes between open and close.
 
-``trace summarize`` and :class:`~repro.perf.recorder.PerfRecorder`
-read those attributes back into per-stage peak-memory and CPU columns,
-and the bench harness persists them in ``BENCH_<n>.json`` — the
-resource ledger that memory-driven scaling decisions (sharding,
-chunked W-D generation) need.
+``trace summarize`` reads those attributes back into per-stage
+peak-memory and CPU columns — the resource ledger that memory-driven
+scaling decisions (sharding, chunked W-D generation) need.
 
 Sources, in order of preference, with **no dependencies beyond the
 standard library**:

@@ -6,9 +6,9 @@
    with call counts, total time, and *self* time (total minus the time
    covered by child spans), so "where did the wall clock go" is
    answerable at a glance;
-2. **Stage table** — the same name/seconds/calls table the bench
-   harness embeds in ``BENCH_<n>.json``, derived from the same spans
-   (one source of truth: :meth:`repro.perf.PerfRecorder.ingest_spans`);
+2. **Stage table** — wall time, calls and (on monitored runs) peak
+   RSS / CPU per planner stage, folded from the stage spans and the
+   retiming sub-spans nested in them;
 3. **Convergence tables** — per LAC retiming: round-by-round
    ``N_FOA``/``N_F``/objective and tile-weight spread; per min-period
    search: every FEAS probe with candidate period, verdict and rounds;
@@ -19,7 +19,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.obs.export import SpanRecord, TraceDocument
 
@@ -91,12 +91,64 @@ def _fmt_rss(n: Optional[int]) -> str:
     return f"{n / 1048576.0:.1f}M" if n is not None else "-"
 
 
-def _format_stage_table(doc: TraceDocument) -> List[str]:
-    from repro.perf.recorder import PerfRecorder
+#: Retiming sub-spans that get their own stage-table row. They nest
+#: inside the ``retime`` stage span; the "/" in their names keeps
+#: :func:`_stage_total` from counting them twice.
+_RETIME_SUB_SPANS = ("retime/constraints", "retime/min_area", "retime/lac")
 
-    perf = PerfRecorder()
-    perf.ingest_spans(doc.spans)
-    stages = perf.stages
+
+@dataclasses.dataclass
+class _StageRow:
+    """Accumulated wall time (plus peak RSS / CPU when monitored)."""
+
+    name: str
+    seconds: float = 0.0
+    calls: int = 0
+    peak_rss_bytes: Optional[int] = None
+    cpu_seconds: Optional[float] = None
+
+
+def _stage_rows(spans: Iterable) -> List[_StageRow]:
+    """Fold span-shaped records (``name``/``attrs``/``elapsed``) into
+    stage rows, in first-seen order.
+
+    Each planner stage span (``kind == "stage"``) adds one call under
+    its scope-qualified name; the retiming sub-spans keep their own
+    names and LAC rounds land under ``retime/lac/rounds``. Structural
+    spans (``plan``, ``iteration``, solver detail) are not stage time.
+    """
+    rows: Dict[str, _StageRow] = {}
+    for span in spans:
+        attrs = span.attrs
+        if attrs.get("kind") == "stage":
+            scope = attrs.get("scope") or ""
+            name = f"{scope} · {span.name}" if scope else span.name
+        elif span.name in _RETIME_SUB_SPANS:
+            name = span.name
+        elif span.name == "lac/round":
+            name = "retime/lac/rounds"
+        else:
+            continue
+        row = rows.setdefault(name, _StageRow(name))
+        row.seconds += span.elapsed
+        row.calls += 1
+        rss = attrs.get("peak_rss_bytes")
+        if rss is not None:
+            # Peak, not sum: the stage's high-water mark across calls.
+            row.peak_rss_bytes = max(row.peak_rss_bytes or 0, rss)
+        cpu = attrs.get("cpu_seconds")
+        if cpu is not None:
+            row.cpu_seconds = (row.cpu_seconds or 0.0) + cpu
+    return list(rows.values())
+
+
+def _stage_total(rows: Sequence[_StageRow]) -> float:
+    """Wall time of the top-level stages; nested rows are views."""
+    return sum(r.seconds for r in rows if "/" not in r.name)
+
+
+def _format_stage_table(doc: TraceDocument) -> List[str]:
+    stages = _stage_rows(doc.spans)
     if not stages:
         return ["(no stage spans)"]
     # Peak-RSS / CPU columns appear only when the resource monitor
@@ -113,9 +165,12 @@ def _format_stage_table(doc: TraceDocument) -> List[str]:
             cpu = f"{t.cpu_seconds:.3f}s" if t.cpu_seconds is not None else "-"
             line += f"  {_fmt_rss(t.peak_rss_bytes):>9}  {cpu:>8}"
         lines.append(line)
-    total = f"{'total':<{width}}  {perf.total_seconds:>8.3f}s"
+    total = f"{'total':<{width}}  {_stage_total(stages):>8.3f}s"
     if monitored:
-        total += f"  {'':>5}  {_fmt_rss(perf.peak_rss_bytes):>9}"
+        peak = max(
+            t.peak_rss_bytes for t in stages if t.peak_rss_bytes is not None
+        )
+        total += f"  {'':>5}  {_fmt_rss(peak):>9}"
     lines.append(total)
     return lines
 

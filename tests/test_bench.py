@@ -119,6 +119,17 @@ class TestLoadBench(object):
         assert g.name == "tiny"
         assert g.total_flip_flops() == 1
 
+    def test_missing_file_names_the_file(self, tmp_path):
+        path = tmp_path / "nope.bench"
+        with pytest.raises(BenchParseError, match="nope.bench"):
+            load_bench(str(path))
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.bench"
+        path.write_bytes(b"# caf\xe9\nINPUT(a)\n")
+        with pytest.raises(BenchParseError, match="latin1.bench"):
+            load_bench(str(path))
+
 
 class TestBenchWriter:
     def test_round_trip(self):

@@ -68,6 +68,14 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_bench_is_not_a_command(self, capsys):
+        # Benchmarks run through perfbench/run.py, per-stage timing
+        # through `plan --trace` + `trace summarize`.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestVerifyCLI:
     """End-to-end coverage of ``plan --verify`` / ``verify <target>``."""

@@ -106,6 +106,11 @@ class TestIntrospection:
         assert g.weight(cid) == 7
         with pytest.raises(NetlistError):
             g.set_weight(cid, -2)
+        for bad in (1.5, float("nan"), float("inf")):
+            with pytest.raises(NetlistError, match="non-integral"):
+                g.set_weight(cid, bad)
+        g.set_weight(cid, 3.0)
+        assert g.weight(cid) == 3
 
 
 class TestRetimed:

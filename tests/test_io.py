@@ -1,5 +1,7 @@
 """Tests for JSON circuit serialisation."""
 
+import json
+
 import pytest
 
 from repro.errors import NetlistError
@@ -11,6 +13,20 @@ from repro.netlist import (
     s27_graph,
     save_graph,
 )
+
+
+def _two_units(delay=1.0, area=1.0, weight=1):
+    return {
+        "name": "x",
+        "units": [
+            {"name": "a", "delay": delay, "area": area, "kind": "logic"},
+            {"name": "b", "delay": 1.0, "area": 1.0, "kind": "logic"},
+        ],
+        "connections": [
+            {"u": "a", "v": "b", "weight": 0},
+            {"u": "b", "v": "a", "weight": weight},
+        ],
+    }
 
 
 class TestRoundTrip:
@@ -47,6 +63,26 @@ class TestRoundTrip:
     def test_malformed_json_rejected(self):
         with pytest.raises(NetlistError, match="malformed"):
             graph_from_dict({"name": "x", "units": [{"name": "a"}]})
+        # Corrupt numbers: json.loads parses NaN and Infinity, and a
+        # fractional flip-flop count must not be truncated silently.
+        for bad, problem in (
+            (_two_units(delay=float("nan")), "non-finite delay"),
+            (_two_units(delay=float("inf")), "non-finite delay"),
+            (_two_units(area=float("nan")), "non-finite area"),
+            (_two_units(area=float("inf")), "non-finite area"),
+            (_two_units(weight=1.5), "non-integral weight"),
+            (_two_units(weight=float("nan")), "non-integral weight"),
+            (_two_units(weight=float("inf")), "non-integral weight"),
+        ):
+            with pytest.raises(NetlistError, match=problem):
+                graph_from_dict(bad)
+
+    def test_integral_numbers_accepted(self):
+        import numpy as np
+
+        for weight in (2.0, np.int64(2)):
+            g = graph_from_dict(_two_units(weight=weight))
+            assert sorted(w for _c, w in g.connections()) == [0, 2]
 
     def test_save_is_atomic_no_tmp_left(self, tmp_path):
         path = tmp_path / "g.json"
@@ -96,6 +132,19 @@ class TestLoadGraphErrors:
         with pytest.raises(
             NetlistError, match="list.json.*expected a JSON object.*got list"
         ):
+            load_graph(str(path))
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        with pytest.raises(NetlistError, match="latin1.json"):
+            load_graph(str(path))
+
+    def test_non_finite_number_names_the_file(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(_two_units(delay=float("nan"))))
+        assert "NaN" in path.read_text()
+        with pytest.raises(NetlistError, match="nan.json.*non-finite delay"):
             load_graph(str(path))
 
     def test_missing_fields_name_the_file(self, tmp_path):

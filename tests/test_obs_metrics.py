@@ -1,8 +1,7 @@
-"""Tests for repro.obs metrics/monitor/progress/flamegraph + bench history."""
+"""Tests for repro.obs metrics/monitor/progress/flamegraph."""
 
 import io
 import json
-from pathlib import Path
 
 import pytest
 
@@ -28,7 +27,6 @@ from repro.obs import (
 )
 from repro.errors import ReproError
 
-RESULTS_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 class FakeClock:
@@ -453,77 +451,12 @@ class TestFlamegraph:
         assert len(merged) == 1  # three rounds folded into one stack
 
 
-class TestBenchHistory:
-    def _doc(self, wall, ok=True, mode="warm", quick=True):
-        return {
-            "schema": "repro-bench/4",
-            "mode": mode,
-            "quick": quick,
-            "cache": None,
-            "totals": {"wall_seconds": wall, "lac_seconds": 0.1},
-            "circuits": [
-                {"name": "s298", "ok": ok, "stages": [],
-                 "error": None if ok else "PlanningError: boom"},
-            ],
-        }
-
-    def test_checked_in_series_loads_clean(self):
-        from repro.perf import history_report, load_history
-
-        docs = load_history(RESULTS_DIR)
-        assert [n for n, _ in docs] == sorted(n for n, _ in docs)
-        assert len(docs) >= 5
-        report, regressions = history_report(docs)
-        text = "\n".join(report)
-        assert "BENCH_0" in text and "wall" in text
-        # Schema changes between checked-in runs make them
-        # non-comparable or genuinely faster; nothing should flag.
-        assert regressions == []
-
-    def test_checked_in_series_exits_zero(self, capsys):
-        from repro.perf.history import main
-
-        assert main(["--dir", str(RESULTS_DIR)]) == 0
-        assert "BENCH_0" in capsys.readouterr().out
-
-    def test_wall_regression_flagged_between_comparable_runs(self):
-        from repro.perf import history_report
-
-        docs = [(0, self._doc(1.0)), (1, self._doc(2.0))]
-        _, regressions = history_report(docs, threshold=0.25)
-        assert any("wall regressed" in r for r in regressions)
-
-    def test_incomparable_runs_not_flagged(self):
-        from repro.perf import history_report
-
-        docs = [(0, self._doc(1.0, mode="cold")), (1, self._doc(9.0))]
-        _, regressions = history_report(docs)
-        assert regressions == []
-
-    def test_ok_to_fail_flagged(self):
-        from repro.perf import history_report
-
-        docs = [(0, self._doc(1.0)), (1, self._doc(1.0, ok=False))]
-        _, regressions = history_report(docs)
-        assert any("now fails" in r for r in regressions)
-
-    def test_fail_on_regression_exit_code(self, tmp_path, capsys):
-        from repro.perf.history import main
-
-        for n, doc in ((0, self._doc(1.0)), (1, self._doc(5.0))):
-            (tmp_path / f"BENCH_{n}.json").write_text(json.dumps(doc))
-        assert main(["--dir", str(tmp_path)]) == 0
-        assert main(["--dir", str(tmp_path), "--fail-on-regression"]) == 1
-        assert main(["--dir", str(tmp_path / "nope")]) == 2
-        capsys.readouterr()
-
-
 class TestInstrumentedPlanner:
     """Acceptance: full telemetry on a real (tiny) planner run."""
 
     @pytest.fixture(scope="class")
     def paths(self, tmp_path_factory):
-        from repro.core.planner import plan_interconnect
+        from repro.core import planner
         from repro.netlist import s27_graph
 
         base = tmp_path_factory.mktemp("obs")
@@ -532,17 +465,18 @@ class TestInstrumentedPlanner:
             "metrics": base / "s27.metrics.jsonl",
             "events": base / "s27.events.jsonl",
         }
-        outcome = plan_interconnect(
-            s27_graph(),
-            seed=1,
-            whitespace=0.4,
-            max_iterations=1,
-            floorplan_iterations=60,
-            trace_path=str(p["trace"]),
-            metrics_path=str(p["metrics"]),
-            progress_path=str(p["events"]),
-            monitor_interval=0.01,
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planner, "MONITOR_INTERVAL", 0.01)
+            outcome = planner.plan_interconnect(
+                s27_graph(),
+                seed=1,
+                whitespace=0.4,
+                max_iterations=1,
+                floorplan_iterations=60,
+                trace_path=str(p["trace"]),
+                metrics_path=str(p["metrics"]),
+                progress_path=str(p["events"]),
+            )
         p["outcome"] = outcome
         return p
 
@@ -662,9 +596,3 @@ class TestCLIObs:
         assert main(["trace", "flamegraph", str(trace), "--out", str(out)]) == 0
         assert "folded stacks" in capsys.readouterr().out
         assert "root;leaf " in out.read_text()
-
-    def test_bench_history_command(self, capsys):
-        from repro.__main__ import main
-
-        assert main(["bench", "history", "--out", str(RESULTS_DIR)]) == 0
-        assert "BENCH_0" in capsys.readouterr().out

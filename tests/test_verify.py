@@ -206,6 +206,15 @@ class TestOutcomeJson:
         with pytest.raises(VerificationError, match="not valid JSON"):
             load_outcome_json(path)
 
+    def test_non_finite_delay_in_file_rejected(self, outcome, tmp_path):
+        path = tmp_path / "outcome.json"
+        save_outcome_json(outcome, path)
+        doc = json.loads(path.read_text())
+        doc["iterations"][0]["graph"]["units"][0]["delay"] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(VerificationError, match="non-finite delay"):
+            load_outcome_json(path)
+
 
 class TestCheckpointAudit:
     @pytest.fixture(scope="class")
