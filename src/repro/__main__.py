@@ -184,30 +184,96 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    from repro.experiments.table1 import main as table1_main
+    """Fault-isolated Table-1 batch.
 
-    argv = list(args.names)
-    if args.quick:
-        argv.append("--quick")
-    if args.verify:
-        argv.append("--verify")
-    if args.jobs != 1:
-        argv += ["--jobs", str(args.jobs)]
-    for fault in args.inject_fault:
-        argv += ["--inject-fault", fault]
-    if args.checkpoint_dir:
-        argv += ["--checkpoint-dir", args.checkpoint_dir]
-    if args.resume:
-        argv.append("--resume")
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
+    A failing circuit is reported as FAILED in a partial table, and the
+    exit status is nonzero only when *every* circuit fails. An
+    interrupted batch prints the partial table and exits 4; with
+    ``--checkpoint-dir`` the completed circuits are on disk and
+    ``--resume`` picks up where the batch stopped.
+    """
+    from repro.experiments.circuits import TABLE1_CIRCUITS, get_circuit
+    from repro.experiments.table1 import (
+        _parse_fault_args,
+        format_batch,
+        run_table1_resilient,
+    )
+
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return EXIT_ERROR
+    if args.resume and not args.checkpoint_dir:
+        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
+        return EXIT_ERROR
+    if args.progress and args.jobs > 1:
+        print(
+            "error: --progress requires a serial run (--jobs 1); span "
+            "listeners cannot cross worker process boundaries",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
+    try:
+        specs = (
+            [get_circuit(name) for name in args.names]
+            if args.names
+            else TABLE1_CIRCUITS
+        )
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_ERROR
+    overrides = {"floorplan_iterations": 300} if args.quick else {}
     if args.no_cache:
-        argv.append("--no-cache")
-    if args.trace_dir:
-        argv += ["--trace-dir", args.trace_dir]
+        overrides["compile_cache"] = "off"
+    elif args.cache_dir:
+        overrides["compile_cache_dir"] = args.cache_dir
+    install_interrupt_handlers()
+    progress = None
     if args.progress:
-        argv += ["--progress", args.progress]
-    return table1_main(argv)
+        from repro.obs.progress import open_progress
+
+        progress = open_progress(
+            args.progress, meta={"batch": [spec.name for spec in specs]}
+        )
+    try:
+        batch = run_table1_resilient(
+            specs,
+            max_iterations=1 if args.quick else 2,
+            verbose=True,
+            faults_for=_parse_fault_args(args.inject_fault),
+            plan_overrides=overrides,
+            jobs=args.jobs,
+            checkpoint_dir=args.checkpoint_dir,
+            resume=args.resume,
+            verify=args.verify,
+            trace_dir=args.trace_dir,
+            progress=progress,
+        )
+    finally:
+        if progress is not None:
+            progress.close()
+    print()
+    print(format_batch(batch))
+    if batch.interrupted:
+        hint = (
+            f"; rerun with --checkpoint-dir {args.checkpoint_dir} --resume "
+            "to continue"
+            if args.checkpoint_dir
+            else ""
+        )
+        print(
+            f"interrupted after {len(batch.items)} of {len(specs)} "
+            f"circuits{hint}",
+            file=sys.stderr,
+        )
+        return EXIT_INTERRUPTED
+    if any(
+        not item.ok
+        and item.error
+        and item.error.startswith("VerificationError")
+        for item in batch.items
+    ):
+        return EXIT_VERIFY_FAILED
+    return batch.exit_code
 
 
 def _cmd_verify(args) -> int:

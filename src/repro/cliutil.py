@@ -1,8 +1,6 @@
 """Shared CLI plumbing: exit codes and interrupt handling.
 
-Both ``python -m repro`` and the standalone harness entry points
-(``python -m repro.experiments.table1``) speak the same exit-code
-contract:
+Every ``python -m repro`` command speaks the same exit-code contract:
 
 * ``0`` — success (``plan``: converged; ``table1``: >= 1 circuit ok);
 * ``1`` — completed but unsatisfied (not converged / every circuit

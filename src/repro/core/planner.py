@@ -21,11 +21,11 @@ infeasible after a drastic floorplan change).
 Every stage executes through the :mod:`repro.resilience` layer: a
 :class:`~repro.resilience.runner.StageRunner` applies per-stage
 policies (bounded retries with seed perturbation for the stochastic
-stages, optional wall-clock deadlines, fallback chains such as the
-``tree`` repeater backend falling back to ``path``), and an infeasible
-``T_clk`` degrades gracefully — the period is relaxed toward
-``T_init`` and the iteration is marked ``degraded`` instead of being
-abandoned. The full attempt history lands in the outcome's
+stages, optional wall-clock deadlines, fallback chains such as pruned
+constraint generation falling back to the unpruned system), and an
+infeasible ``T_clk`` degrades gracefully — the period is relaxed
+toward ``T_init`` and the iteration is marked ``degraded`` instead of
+being abandoned. The full attempt history lands in the outcome's
 :class:`~repro.resilience.ledger.RunLedger`.
 
 With a :class:`~repro.resilience.checkpoint.CheckpointManager`
@@ -77,10 +77,6 @@ from repro.tiles.grid import SOFT, TileGrid, build_tile_grid
 
 log = logging.getLogger(__name__)
 
-#: Legal backend names, checked up-front by config validation.
-FLOORPLAN_BACKENDS = ("sequence_pair", "slicing")
-REPEATER_BACKENDS = ("path", "tree")
-
 #: Seconds between background resource samples on an instrumented run.
 MONITOR_INTERVAL = 0.05
 
@@ -98,15 +94,11 @@ class PlannerConfig:
     max_rounds: int = 30
     prune: bool = True
     floorplan_iterations: int = 2000
-    anneal_replicas: int = 1  # parallel-tempered multi-start replicas
-    anneal_jobs: int = 1  # worker processes for replicas > 1
     rrr_passes: int = 2
     max_units_per_connection: Optional[int] = 4
     hard_blocks: Tuple[int, ...] = ()
     expansion_factor: float = 1.4
     run_baseline: bool = True
-    floorplan_backend: str = "sequence_pair"
-    repeater_backend: str = "path"  # "path" (per-connection DP) | "tree"
     tech: Technology = DEFAULT_TECH
     resilience: Optional[ResilienceConfig] = None  # None -> defaults
     trace_path: Optional[str] = None  # write a repro-trace/1 JSONL here
@@ -121,7 +113,7 @@ def validate_planner_config(config: PlannerConfig) -> None:
 
     Raises:
         PlanningError: A field is out of range or names an unknown
-            backend — better than failing deep inside a stage.
+            mode — better than failing deep inside a stage.
     """
     if config.whitespace < 0:
         raise PlanningError(
@@ -132,31 +124,10 @@ def validate_planner_config(config: PlannerConfig) -> None:
             "PlannerConfig.expansion_factor must be > 1.0, got "
             f"{config.expansion_factor}"
         )
-    if config.anneal_replicas < 1:
-        raise PlanningError(
-            "PlannerConfig.anneal_replicas must be >= 1, got "
-            f"{config.anneal_replicas}"
-        )
-    if config.anneal_jobs < 1:
-        raise PlanningError(
-            f"PlannerConfig.anneal_jobs must be >= 1, got {config.anneal_jobs}"
-        )
     if not 0.0 <= config.target_fraction <= 1.0:
         raise PlanningError(
             "PlannerConfig.target_fraction must be in [0, 1], got "
             f"{config.target_fraction}"
-        )
-    if config.floorplan_backend not in FLOORPLAN_BACKENDS:
-        raise PlanningError(
-            "PlannerConfig.floorplan_backend: unknown floorplan backend "
-            f"{config.floorplan_backend!r} (expected one of "
-            f"{', '.join(FLOORPLAN_BACKENDS)})"
-        )
-    if config.repeater_backend not in REPEATER_BACKENDS:
-        raise PlanningError(
-            "PlannerConfig.repeater_backend: unknown repeater backend "
-            f"{config.repeater_backend!r} (expected one of "
-            f"{', '.join(REPEATER_BACKENDS)})"
         )
     if config.n_max < 1:
         raise PlanningError(
@@ -395,18 +366,14 @@ def _run_iteration_stages(
         # a resumed run restores them with the routing).
         return routed, dict(router.usage), router.congestion_summary()
 
-    route_value = runner.run("route", _route)
-    if isinstance(route_value, tuple) and len(route_value) == 3:
-        routed, route_usage, route_congestion = route_value
-    else:  # stage value from a pre-audit checkpoint
-        routed, route_usage, route_congestion = route_value, None, None
+    routed, route_usage, route_congestion = runner.run("route", _route)
 
     def _annotate_repeaters(buffered):
         n_repeaters = sum(c.n_repeaters for c in buffered.values())
         tracer.current.set(
             n_connections=len(buffered), n_repeaters=n_repeaters
         )
-        # Both backends reserve repeater area from the grid in place,
+        # Repeater planning reserves repeater area from the grid in place,
         # and downstream area reports read that reservation. The grid
         # rides along in the stage value so a checkpoint of this stage
         # captures the mutation — a resumed run that restores the
@@ -415,38 +382,12 @@ def _run_iteration_stages(
         # layer audits the live grid against.
         return buffered, grid, grid.snapshot_usage(), n_repeaters
 
-    if config.repeater_backend == "tree":
-        from repro.repeater.vanginneken import buffer_routed_nets_tree
-
-        repeater_value = runner.run(
-            "repeater",
-            lambda _a: _annotate_repeaters(
-                buffer_routed_nets_tree(routed, grid, config.tech)
-            ),
-            fallbacks=[
-                (
-                    "path",
-                    lambda _a: _annotate_repeaters(
-                        buffer_routed_nets(routed, grid, config.tech)
-                    ),
-                )
-            ],
-        )
-    elif config.repeater_backend == "path":
-        repeater_value = runner.run(
-            "repeater",
-            lambda _a: _annotate_repeaters(
-                buffer_routed_nets(routed, grid, config.tech)
-            ),
-        )
-    else:
-        raise PlanningError(
-            f"unknown repeater backend {config.repeater_backend!r}"
-        )
-    if len(repeater_value) == 4:
-        buffered, grid, repeater_used, n_repeaters = repeater_value
-    else:  # stage value from a pre-audit checkpoint
-        (buffered, grid), repeater_used, n_repeaters = repeater_value, None, None
+    buffered, grid, repeater_used, n_repeaters = runner.run(
+        "repeater",
+        lambda _a: _annotate_repeaters(
+            buffer_routed_nets(routed, grid, config.tech)
+        ),
+    )
 
     def _expand(_a):
         expanded = expand_interconnects(
@@ -903,9 +844,6 @@ def _plan_stages(
             hard_blocks=config.hard_blocks,
             whitespace=config.whitespace,
             iterations=config.floorplan_iterations,
-            backend=config.floorplan_backend,
-            replicas=config.anneal_replicas,
-            anneal_jobs=config.anneal_jobs,
             tracer=tracer,
         ),
     )

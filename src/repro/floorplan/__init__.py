@@ -1,6 +1,6 @@
 """Sequence-pair floorplanning of circuit blocks."""
 
-from repro.floorplan.annealer import SequencePairAnnealer, anneal_multistart
+from repro.floorplan.annealer import SequencePairAnnealer
 from repro.floorplan.blocks import Block, Placement
 from repro.floorplan.plan import (
     Floorplan,
@@ -10,7 +10,6 @@ from repro.floorplan.plan import (
     net_pairs_from_graph,
 )
 from repro.floorplan.sequence_pair import ArrayPacker, overlaps, pack, pack_arrays
-from repro.floorplan.slicing import SlicingFloorplanner
 
 __all__ = [
     "Block",
@@ -20,8 +19,6 @@ __all__ = [
     "ArrayPacker",
     "overlaps",
     "SequencePairAnnealer",
-    "anneal_multistart",
-    "SlicingFloorplanner",
     "Floorplan",
     "blocks_from_partition",
     "net_pairs_from_graph",

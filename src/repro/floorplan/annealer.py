@@ -30,7 +30,6 @@ from __future__ import annotations
 import logging
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,15 +41,6 @@ from repro.obs import NOOP_TRACER
 log = logging.getLogger(__name__)
 
 _ASPECTS = (0.4, 0.6, 0.8, 1.0, 1.25, 1.65, 2.5)
-
-#: Parallel-tempering ladder: replica ``r`` anneals from a starting
-#: temperature scaled by ``_TEMPER_LADDER ** r``, so higher replicas
-#: explore more aggressively while replica 0 reproduces the
-#: single-start schedule exactly.
-_TEMPER_LADDER = 1.5
-
-#: Deterministic seed fan-out stride for multi-start replicas.
-_REPLICA_SEED_STRIDE = 7919
 
 
 class SequencePairAnnealer:
@@ -114,7 +104,6 @@ class SequencePairAnnealer:
         t_start: float = 1.0,
         t_end: float = 1e-3,
         tracer=None,
-        span=None,
     ) -> Tuple[List[Placement], float, float]:
         """Anneal and return ``(placements, chip_w, chip_h)`` of the best
         floorplan found.
@@ -122,13 +111,11 @@ class SequencePairAnnealer:
         ``self.best_sequences`` and ``self.best_blocks`` hold the
         sequence pair and block shapes of that floorplan, so callers
         can re-pack it incrementally (e.g. after expanding a block);
-        ``self.best_cost`` holds its cost (multi-start selection keys
-        on it).
+        ``self.best_cost`` holds its cost.
 
         ``tracer`` records the anneal as a ``floorplan/anneal`` span:
         acceptance rate, cost trajectory, final temperature, plus ten
-        ``checkpoint`` events along the cooling schedule. A caller that
-        already owns a span (multi-start) passes it as ``span``.
+        ``checkpoint`` events along the cooling schedule.
         """
         if tracer is None:
             tracer = NOOP_TRACER
@@ -137,10 +124,8 @@ class SequencePairAnnealer:
         gm = list(names)
         self.rng.shuffle(gp)
         self.rng.shuffle(gm)
-        if span is not None:
+        with tracer.span("floorplan/anneal", iterations=iterations) as span:
             return self._anneal(gp, gm, iterations, t_start, t_end, tracer, span)
-        with tracer.span("floorplan/anneal", iterations=iterations) as span_:
-            return self._anneal(gp, gm, iterations, t_start, t_end, tracer, span_)
 
     def _cost_arrays(self, packer, xs, ys, pa, pb, pm):
         xa = np.array(xs, dtype=np.float64)
@@ -296,87 +281,3 @@ class SequencePairAnnealer:
         )
         return placements, w, h
 
-
-# ----------------------------------------------------------------------
-def _anneal_replica(payload) -> Tuple[float, Tuple[List[str], List[str]], Dict[str, Block]]:
-    """One multi-start replica; module-level so it pickles to workers."""
-    blocks, net_pairs, seed, iterations, t_start = payload
-    annealer = SequencePairAnnealer(blocks, net_pairs, seed=seed)
-    annealer.run(iterations=iterations, t_start=t_start)
-    return annealer.best_cost, annealer.best_sequences, annealer.best_blocks
-
-
-def anneal_multistart(
-    blocks: Sequence[Block],
-    net_pairs: Sequence[Tuple[str, str, int]],
-    seed: int = 0,
-    iterations: int = 3000,
-    replicas: int = 1,
-    jobs: int = 1,
-    tracer=None,
-) -> Tuple[Tuple[List[str], List[str]], Dict[str, Block], float]:
-    """Parallel-tempered multi-start annealing; returns the best replica.
-
-    Replica ``r`` anneals with seed ``seed + r * stride`` and starting
-    temperature scaled by ``_TEMPER_LADDER ** r`` — a deterministic
-    fan-out, so results are reproducible for any ``jobs``. Replica 0 is
-    *exactly* the single-start schedule; with ``replicas == 1`` this
-    function is behaviour-identical (same RNG stream, same spans) to
-    calling :class:`SequencePairAnnealer` directly.
-
-    ``jobs > 1`` farms replicas ``1..r-1`` out to worker processes
-    (replica 0 runs in-process so its trace span survives); the
-    ``floorplan/anneal`` span then records the replica count, every
-    replica's best cost, and which replica won. Ties go to the lowest
-    replica index, keeping the outcome independent of scheduling.
-
-    Returns ``(best_sequences, best_blocks, best_cost)``.
-    """
-    if tracer is None:
-        tracer = NOOP_TRACER
-    if replicas <= 1:
-        annealer = SequencePairAnnealer(blocks, net_pairs, seed=seed)
-        annealer.run(iterations=iterations, tracer=tracer)
-        return annealer.best_sequences, annealer.best_blocks, annealer.best_cost
-
-    block_list = list(blocks)
-    payloads = [
-        (
-            block_list,
-            list(net_pairs),
-            seed + r * _REPLICA_SEED_STRIDE,
-            iterations,
-            _TEMPER_LADDER**r,
-        )
-        for r in range(1, replicas)
-    ]
-    with tracer.span(
-        "floorplan/anneal", iterations=iterations, replicas=replicas
-    ) as span:
-        if jobs > 1:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(payloads))
-            ) as pool:
-                others = list(pool.map(_anneal_replica, payloads))
-        else:
-            others = [_anneal_replica(p) for p in payloads]
-        annealer = SequencePairAnnealer(block_list, net_pairs, seed=seed)
-        annealer.run(iterations=iterations, tracer=tracer, span=span)
-        results = [
-            (annealer.best_cost, annealer.best_sequences, annealer.best_blocks)
-        ] + others
-        costs = [r[0] for r in results]
-        winner = min(range(len(results)), key=lambda k: (costs[k], k))
-        span.set(
-            replica_costs=costs,
-            best_replica=winner,
-            best_cost=costs[winner],
-        )
-    best_cost, best_sequences, best_blocks = results[winner]
-    log.debug(
-        "multi-start anneal: %d replicas, best replica %d (cost %.1f)",
-        replicas,
-        winner,
-        best_cost,
-    )
-    return best_sequences, best_blocks, best_cost

@@ -14,7 +14,7 @@ import dataclasses
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import FloorplanError
-from repro.floorplan.annealer import SequencePairAnnealer, anneal_multistart
+from repro.floorplan.annealer import SequencePairAnnealer
 from repro.floorplan.blocks import Block, Placement
 from repro.floorplan.sequence_pair import pack
 from repro.netlist.graph import CircuitGraph
@@ -116,6 +116,30 @@ def net_pairs_from_graph(
     return [(a, b, m) for (a, b), m in counts.items()]
 
 
+def _anneal_floorplan(
+    graph: CircuitGraph,
+    blocks: Sequence[Block],
+    block_of_unit: Mapping[str, str],
+    seed: int,
+    iterations: int,
+    tracer,
+) -> Floorplan:
+    """Anneal a sequence pair for ``blocks`` and pack the best one."""
+    net_pairs = net_pairs_from_graph(graph, block_of_unit)
+    annealer = SequencePairAnnealer(blocks, net_pairs, seed=seed)
+    annealer.run(iterations=iterations, tracer=tracer)
+    gp, gm = annealer.best_sequences
+    placements, w, h = pack(gp, gm, annealer.best_blocks)
+    return Floorplan(
+        blocks=dict(annealer.best_blocks),
+        placements={p.name: p for p in placements},
+        chip_width=w,
+        chip_height=h,
+        block_of_unit=dict(block_of_unit),
+        sequence_pair=(gp, gm),
+    )
+
+
 def build_floorplan(
     graph: CircuitGraph,
     partition: Partition,
@@ -123,73 +147,20 @@ def build_floorplan(
     hard_blocks: Iterable[int] = (),
     whitespace: float = 0.25,
     iterations: int = 2500,
-    backend: str = "sequence_pair",
-    replicas: int = 1,
-    anneal_jobs: int = 1,
     tracer=None,
 ) -> Floorplan:
     """Partition-aware floorplanning: size blocks, anneal, package.
 
-    ``backend`` selects the floorplanner: ``"sequence_pair"`` (default;
-    supports incremental expansion via the stored sequence pair) or
-    ``"slicing"`` (normalised Polish expressions; expansion falls back
-    to a re-anneal because slicing floorplans carry no sequence pair).
-
-    ``replicas > 1`` anneals that many parallel-tempered multi-start
-    replicas (deterministic seed fan-out; ``anneal_jobs`` worker
-    processes) and keeps the best floorplan. The default ``replicas=1``
-    reproduces the single-start result exactly.
+    The sequence-pair annealer places the blocks; the winning pair is
+    stored on the result so :func:`expand_floorplan` can re-pack it.
     """
     blocks, block_of_unit = blocks_from_partition(
         graph, partition, hard_blocks=hard_blocks, whitespace=whitespace
     )
     if not blocks:
         raise FloorplanError("no blocks to floorplan")
-    if backend == "slicing":
-        from repro.floorplan.slicing import SlicingFloorplanner
-
-        placements, w, h = SlicingFloorplanner(blocks, seed=seed).run(
-            iterations=iterations
-        )
-        placed = {p.name: p for p in placements}
-        final_blocks = {
-            b.name: (
-                b
-                if b.hard
-                else b.with_aspect(
-                    max(0.2, min(5.0, placed[b.name].width / placed[b.name].height))
-                )
-            )
-            for b in blocks
-        }
-        return Floorplan(
-            blocks=final_blocks,
-            placements=placed,
-            chip_width=w,
-            chip_height=h,
-            block_of_unit=dict(block_of_unit),
-            sequence_pair=None,
-        )
-    if backend != "sequence_pair":
-        raise FloorplanError(f"unknown floorplan backend {backend!r}")
-    net_pairs = net_pairs_from_graph(graph, block_of_unit)
-    (gp, gm), best_blocks, _best_cost = anneal_multistart(
-        blocks,
-        net_pairs,
-        seed=seed,
-        iterations=iterations,
-        replicas=replicas,
-        jobs=anneal_jobs,
-        tracer=tracer,
-    )
-    placements, w, h = pack(gp, gm, best_blocks)
-    return Floorplan(
-        blocks=dict(best_blocks),
-        placements={p.name: p for p in placements},
-        chip_width=w,
-        chip_height=h,
-        block_of_unit=dict(block_of_unit),
-        sequence_pair=(gp, gm),
+    return _anneal_floorplan(
+        graph, blocks, block_of_unit, seed, iterations, tracer
     )
 
 
@@ -234,16 +205,11 @@ def expand_floorplan(
             block_of_unit=dict(plan.block_of_unit),
             sequence_pair=(list(gp), list(gm)),
         )
-    net_pairs = net_pairs_from_graph(graph, plan.block_of_unit)
-    annealer = SequencePairAnnealer(list(new_blocks.values()), net_pairs, seed=seed)
-    annealer.run(iterations=iterations, tracer=tracer)
-    gp, gm = annealer.best_sequences
-    placements, w, h = pack(gp, gm, annealer.best_blocks)
-    return Floorplan(
-        blocks=dict(annealer.best_blocks),
-        placements={p.name: p for p in placements},
-        chip_width=w,
-        chip_height=h,
-        block_of_unit=dict(plan.block_of_unit),
-        sequence_pair=(gp, gm),
+    return _anneal_floorplan(
+        graph,
+        list(new_blocks.values()),
+        plan.block_of_unit,
+        seed,
+        iterations,
+        tracer,
     )

@@ -172,14 +172,14 @@ def read_trace(path: Union[str, Path]) -> TraceDocument:
     """Parse and validate a ``repro-trace/1`` file.
 
     Raises:
-        TraceError: Unreadable header, wrong schema, malformed span
-            line, duplicate span id, or a parent reference that names
-            no span in the file.
+        TraceError: Unreadable or non-UTF-8 file, unreadable header,
+            wrong schema, malformed span line, duplicate span id, or a
+            parent reference that names no span in the file.
     """
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from exc
     if not lines:
         raise TraceError(f"{path}: empty trace file")

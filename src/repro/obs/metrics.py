@@ -481,14 +481,15 @@ def read_metrics(path: Union[str, Path]) -> MetricsDocument:
     """Parse and validate a ``repro-metrics/1`` file.
 
     Raises:
-        MetricsError: Unreadable header, wrong schema, malformed
-            sample, non-monotone histogram buckets, or a declared
-            sample count that does not match the file.
+        MetricsError: Unreadable or non-UTF-8 file, unreadable header,
+            wrong schema, malformed sample, non-monotone histogram
+            buckets, or a declared sample count that does not match
+            the file.
     """
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise MetricsError(f"cannot read metrics {path}: {exc}") from exc
     if not lines:
         raise MetricsError(f"{path}: empty metrics file")

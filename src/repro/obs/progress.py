@@ -263,61 +263,66 @@ def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
     events: List[Dict[str, Any]] = []
     open_ids: Dict[int, str] = {}
     saw_end = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ReproError(f"{path}:{lineno}: invalid JSON: {exc}")
-            if lineno == 1:
-                schema = obj.get("schema")
-                if schema != EVENTS_SCHEMA:
-                    raise ReproError(
-                        f"{path}:1: expected schema {EVENTS_SCHEMA!r}, "
-                        f"got {schema!r}"
-                    )
-                continue
-            etype = obj.get("type")
-            if etype not in _EVENT_TYPES:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ReproError(f"cannot read events {path}: {exc}") from exc
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ReproError(f"{path}:{lineno}: invalid JSON: {exc}")
+        if not isinstance(obj, dict):
+            raise ReproError(f"{path}:{lineno}: not a JSON object")
+        if lineno == 1:
+            schema = obj.get("schema")
+            if schema != EVENTS_SCHEMA:
                 raise ReproError(
-                    f"{path}:{lineno}: unknown event type {etype!r}"
+                    f"{path}:1: expected schema {EVENTS_SCHEMA!r}, "
+                    f"got {schema!r}"
                 )
-            if saw_end:
+            continue
+        etype = obj.get("type")
+        if etype not in _EVENT_TYPES:
+            raise ReproError(
+                f"{path}:{lineno}: unknown event type {etype!r}"
+            )
+        if saw_end:
+            raise ReproError(
+                f"{path}:{lineno}: event after run_end"
+            )
+        if "t" not in obj:
+            raise ReproError(f"{path}:{lineno}: event missing 't'")
+        if etype == "span_open":
+            sid = obj.get("span_id")
+            if not isinstance(sid, int):
                 raise ReproError(
-                    f"{path}:{lineno}: event after run_end"
+                    f"{path}:{lineno}: span_open missing span_id"
                 )
-            if "t" not in obj:
-                raise ReproError(f"{path}:{lineno}: event missing 't'")
-            if etype == "span_open":
-                sid = obj.get("span_id")
-                if not isinstance(sid, int):
-                    raise ReproError(
-                        f"{path}:{lineno}: span_open missing span_id"
-                    )
-                if sid in open_ids:
-                    raise ReproError(
-                        f"{path}:{lineno}: span {sid} opened twice"
-                    )
-                open_ids[sid] = obj.get("name", "")
-            elif etype == "span_close":
-                sid = obj.get("span_id")
-                if sid not in open_ids:
-                    raise ReproError(
-                        f"{path}:{lineno}: close of span {sid} "
-                        "that was never opened"
-                    )
-                del open_ids[sid]
-            elif etype == "metrics":
-                if not isinstance(obj.get("samples"), dict):
-                    raise ReproError(
-                        f"{path}:{lineno}: metrics event missing samples"
-                    )
-            elif etype == "run_end":
-                saw_end = True
-            events.append(obj)
+            if sid in open_ids:
+                raise ReproError(
+                    f"{path}:{lineno}: span {sid} opened twice"
+                )
+            open_ids[sid] = obj.get("name", "")
+        elif etype == "span_close":
+            sid = obj.get("span_id")
+            if sid not in open_ids:
+                raise ReproError(
+                    f"{path}:{lineno}: close of span {sid} "
+                    "that was never opened"
+                )
+            del open_ids[sid]
+        elif etype == "metrics":
+            if not isinstance(obj.get("samples"), dict):
+                raise ReproError(
+                    f"{path}:{lineno}: metrics event missing samples"
+                )
+        elif etype == "run_end":
+            saw_end = True
+        events.append(obj)
     if not events and not saw_end:
         raise ReproError(f"{path}: empty events file")
     return events

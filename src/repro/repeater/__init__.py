@@ -10,7 +10,6 @@ from repro.repeater.vanginneken import (
     BufferType,
     TreeBuffering,
     buffer_all_trees,
-    buffer_routed_nets_tree,
     buffer_tree,
     default_library,
 )
@@ -25,5 +24,4 @@ __all__ = [
     "default_library",
     "buffer_tree",
     "buffer_all_trees",
-    "buffer_routed_nets_tree",
 ]

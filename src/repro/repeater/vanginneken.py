@@ -14,9 +14,11 @@ constraint: every candidate also tracks the longest unbuffered
 downstream span, and candidates whose span would exceed ``L_max`` are
 discarded, so a buffer is *forced* before any run gets too long.
 
-Output: buffer cells plus the achieved worst-sink delay, for use as an
-alternative repeater-planning backend and for the tree-vs-path
-comparison bench.
+Output: buffer cells plus the achieved worst-sink delay. The planner
+buffers per path (:mod:`repro.repeater.insertion`), because each path
+maps onto the interconnect units that LAC-retiming moves; this module
+backs the tree-vs-path comparison bench
+(``benchmarks/test_tree_vs_path.py``).
 """
 
 from __future__ import annotations
@@ -268,83 +270,3 @@ def buffer_all_trees(
         name: buffer_tree(net, tech) for name, net in routed_nets.items()
     }
 
-
-def tree_buffering_to_connections(
-    routed: RoutedNet,
-    buffering: TreeBuffering,
-    grid,
-    tech: Technology = DEFAULT_TECH,
-    reserve: bool = True,
-):
-    """Convert a tree-buffering result to per-(driver, sink) connections.
-
-    Interconnect-unit expansion consumes per-sink segmentations
-    (:class:`~repro.repeater.insertion.BufferedConnection`); this walks
-    each sink's path and splits it at the tree's buffer cells, charging
-    each buffer's area once (shared buffers are shared).
-    """
-    from repro.repeater.insertion import BufferedConnection, Segment
-
-    by_cell = {}
-    for cell, name in buffering.buffers:
-        by_cell[cell] = name
-    areas = {b.name: b.area for b in default_library(tech, sizes=(1, 2, 4))}
-    areas.setdefault("buf_x1", tech.repeater_area)
-
-    charged = set()
-    out = {}
-    for sink, path in routed.paths.items():
-        breakpoints = [0]
-        for i, cell in enumerate(path[1:-1], start=1):
-            if cell in by_cell:
-                breakpoints.append(i)
-        if len(path) > 1:
-            breakpoints.append(len(path) - 1)
-        segments = []
-        for a, b in zip(breakpoints, breakpoints[1:]):
-            length = (b - a) * grid.tile_size
-            driven = a != 0
-            delay = (
-                tech.segment_delay(length)
-                if driven
-                else tech.wire_delay(length, tech.c_repeater)
-            )
-            segments.append(
-                Segment(
-                    start_cell=path[a],
-                    end_cell=path[b],
-                    length_mm=length,
-                    delay_ns=delay,
-                    driven_by_repeater=driven,
-                )
-            )
-            if driven and reserve and path[a] not in charged:
-                charged.add(path[a])
-                area = areas.get(by_cell.get(path[a], "buf_x1"), tech.repeater_area)
-                grid.reserve(grid.region_of_cell[path[a]], area)
-        if not segments:
-            segments = [Segment(path[0], path[0], 0.0, 0.0, False)]
-        out[(routed.net.driver, sink)] = BufferedConnection(
-            driver=routed.net.driver,
-            sink=sink,
-            path=list(path),
-            segments=segments,
-        )
-    return out
-
-
-def buffer_routed_nets_tree(
-    routed_nets: Dict[str, RoutedNet],
-    grid,
-    tech: Technology = DEFAULT_TECH,
-    library: Optional[Sequence[BufferType]] = None,
-):
-    """Tree-buffering backend with the same contract as
-    :func:`repro.repeater.insertion.buffer_routed_nets`."""
-    out = {}
-    for routed in routed_nets.values():
-        buffering = buffer_tree(routed, tech, library=library)
-        out.update(
-            tree_buffering_to_connections(routed, buffering, grid, tech)
-        )
-    return out

@@ -39,8 +39,8 @@ from repro.verify.certificate import (
     passed_certificate,
     skipped_certificate,
 )
-from repro.verify.checkers import iteration_certificates
-from repro.verify.plan import verify_iteration, verify_outcome
+from repro.verify.checkers import verify_iteration
+from repro.verify.plan import verify_outcome
 from repro.verify.retiming import (
     check_retiming_labels,
     cycle_conservation_witnesses,
@@ -70,7 +70,6 @@ __all__ = [
     "failed_certificate",
     "passed_certificate",
     "skipped_certificate",
-    "iteration_certificates",
     "verify_iteration",
     "verify_outcome",
     "check_retiming_labels",

@@ -18,7 +18,7 @@ harness enforces:
   from the audited repeater reservation snapshot, so a corrupted
   live grid is the repeater checker's finding, not this one's;
 * ``repeater`` — the grid's live ``used`` areas equal the snapshot
-  taken at the repeater stage, and (path backend) the total equals
+  taken at the repeater stage, and the total equals
   ``n_repeaters * tech.repeater_area``;
 * ``routing``  — the congestion summary re-counted per tile cell from
   the recorded usage map against PathFinder's track capacities.
@@ -30,7 +30,7 @@ fields get *skipped* certificates, visible but not failing.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.netlist.graph import INTERCONNECT
 from repro.retime.expand import IO_REGION
@@ -62,11 +62,7 @@ def _targets(iteration) -> Iterator[Tuple[str, object, object]]:
         yield "LAC", lac.retiming, lac.report
 
 
-def iteration_certificates(
-    iteration,
-    tech,
-    repeater_backend: Optional[str] = None,
-) -> List[Certificate]:
+def verify_iteration(iteration, tech) -> List[Certificate]:
     """Every certificate for one iteration, in ownership order."""
     subject = f"iteration {iteration.index}"
     if iteration.infeasible:
@@ -82,7 +78,7 @@ def iteration_certificates(
         certs.append(check_retiming(iteration, tag, result))
         certs.append(check_target_period(iteration, tag, result))
         certs.append(check_area(iteration, tag, result, report, tech))
-    certs.append(check_repeaters(iteration, tech, repeater_backend))
+    certs.append(check_repeaters(iteration, tech))
     certs.append(check_routing(iteration))
     return certs
 
@@ -258,9 +254,7 @@ def _dict_mismatch(name: str, reported: dict, fresh: dict) -> str:
 # ----------------------------------------------------------------------
 # repeater
 # ----------------------------------------------------------------------
-def check_repeaters(
-    iteration, tech, repeater_backend: Optional[str] = None
-) -> Certificate:
+def check_repeaters(iteration, tech) -> Certificate:
     """Grid reservations equal the repeater-stage snapshot, re-summed."""
     subject = f"iteration {iteration.index}"
     snapshot = getattr(iteration, "repeater_used", None)
@@ -282,7 +276,7 @@ def check_repeaters(
             )
     n_repeaters = getattr(iteration, "n_repeaters", None)
     total = sum(snapshot.values())
-    if repeater_backend == "path" and n_repeaters is not None:
+    if n_repeaters is not None:
         expected = n_repeaters * tech.repeater_area
         if abs(total - expected) > _AREA_TOL:
             witnesses.append(

@@ -35,10 +35,7 @@ def outcome_to_dict(outcome) -> Dict[str, Any]:
     doc: Dict[str, Any] = {
         "schema": OUTCOME_SCHEMA,
         "circuit": outcome.circuit,
-        "config": {
-            "repeater_backend": config.repeater_backend,
-            "tech": dataclasses.asdict(config.tech),
-        },
+        "config": {"tech": dataclasses.asdict(config.tech)},
         "iterations": [_iteration_to_dict(it) for it in outcome.iterations],
     }
     return doc
@@ -119,13 +116,13 @@ def load_outcome_json(path):
     the solver-only fields absent) so every checker runs unchanged.
 
     Raises:
-        VerificationError: The file is unreadable, not valid JSON, or
-            not this schema.
+        VerificationError: The file is unreadable, not UTF-8, not valid
+            JSON, or not this schema.
     """
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise VerificationError(f"cannot read outcome {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -145,10 +142,17 @@ def outcome_from_dict(doc: Dict[str, Any], source: str = "<dict>"):
 
     try:
         cfg = doc.get("config") or {}
+        # Snapshots written before per-path buffering became the only
+        # repeater planner record it; any other planner's repeaters
+        # break the per-repeater area certificate.
+        backend = cfg.get("repeater_backend", "path")
+        if backend != "path":
+            raise VerificationError(
+                f"outcome {source} was buffered by the {backend!r} repeater "
+                "planner; only per-path buffering can be certified"
+            )
         tech = Technology(**cfg["tech"]) if "tech" in cfg else Technology()
-        config = PlannerConfig(
-            repeater_backend=cfg.get("repeater_backend", "path"), tech=tech
-        )
+        config = PlannerConfig(tech=tech)
         iterations = [
             _iteration_from_dict(it_doc) for it_doc in doc["iterations"]
         ]

@@ -11,21 +11,12 @@ computed.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.obs import NOOP_TRACER
 from repro.tech.params import DEFAULT_TECH
 from repro.verify.certificate import Certificate, VerificationReport
-from repro.verify.checkers import iteration_certificates
-
-
-def verify_iteration(
-    iteration, tech, repeater_backend: Optional[str] = None
-) -> List[Certificate]:
-    """Certify one planning iteration; returns its certificates."""
-    return iteration_certificates(
-        iteration, tech, repeater_backend=repeater_backend
-    )
+from repro.verify.checkers import verify_iteration
 
 
 def verify_outcome(outcome, tracer=None) -> VerificationReport:
@@ -41,13 +32,10 @@ def verify_outcome(outcome, tracer=None) -> VerificationReport:
         tracer = NOOP_TRACER
     config = getattr(outcome, "config", None)
     tech = getattr(config, "tech", None) or DEFAULT_TECH
-    backend = getattr(config, "repeater_backend", None)
     certificates: List[Certificate] = []
     with tracer.span("verify", circuit=outcome.circuit) as span:
         for iteration in outcome.iterations:
-            for cert in verify_iteration(
-                iteration, tech, repeater_backend=backend
-            ):
+            for cert in verify_iteration(iteration, tech):
                 certificates.append(cert)
                 with tracer.span(
                     f"verify/{cert.checker}", subject=cert.subject

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.__main__ import main
 from repro.errors import PlanningError, RoutingError
 from repro.resilience.batch import BatchItem, BatchResult, run_batch
 
@@ -106,10 +107,8 @@ class TestTable1Resilient:
 
 class TestTable1CLI:
     def test_injected_fault_produces_partial_table(self, capsys):
-        from repro.experiments.table1 import main as table1_main
-
-        code = table1_main(
-            ["s298", "s386", "--quick", "--inject-fault", "s298:route"]
+        code = main(
+            ["table1", "s298", "s386", "--quick", "--inject-fault", "s298:route"]
         )
         out = capsys.readouterr().out
         assert code == 0  # one circuit survived
@@ -117,32 +116,61 @@ class TestTable1CLI:
         assert "s386" in out and "partial table" in out
 
     def test_all_circuits_failing_exits_nonzero(self, capsys):
-        from repro.experiments.table1 import main as table1_main
-
-        code = table1_main(
-            ["s298", "--quick", "--inject-fault", "s298:floorplan"]
+        code = main(
+            ["table1", "s298", "--quick", "--inject-fault", "s298:floorplan"]
         )
         assert code == 1
         assert "s298 FAILED" in capsys.readouterr().out
 
     def test_bad_fault_spec_rejected(self):
-        from repro.experiments.table1 import main as table1_main
-
         with pytest.raises(SystemExit):
-            table1_main(["s298", "--inject-fault", "garbage"])
+            main(["table1", "s298", "--inject-fault", "garbage"])
 
-    def test_cli_forwards_table1_flags(self, capsys):
-        from repro.__main__ import main
+    def test_cli_forwards_table1_flags(self, monkeypatch, tmp_path, capsys):
+        import repro.experiments.table1 as table1
 
-        code = main(
+        seen = {}
+
+        def _fake(specs, **kwargs):
+            seen.update(kwargs, names=[spec.name for spec in specs])
+            return BatchResult()
+
+        monkeypatch.setattr(table1, "run_table1_resilient", _fake)
+        main(
             [
                 "table1",
                 "s298",
                 "s386",
                 "--quick",
-                "--inject-fault",
-                "s298:route",
+                "--verify",
+                "--no-cache",
+                "--checkpoint-dir",
+                str(tmp_path),
+                "--resume",
+                "--trace-dir",
+                str(tmp_path / "t"),
             ]
         )
-        assert code == 0
-        assert "s298 FAILED" in capsys.readouterr().out
+        capsys.readouterr()
+        assert seen["names"] == ["s298", "s386"]
+        assert seen["max_iterations"] == 1
+        assert seen["plan_overrides"] == {
+            "floorplan_iterations": 300,
+            "compile_cache": "off",
+        }
+        assert seen["checkpoint_dir"] == str(tmp_path)
+        assert seen["resume"] and seen["verify"]
+        assert seen["trace_dir"] == str(tmp_path / "t")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--jobs", "0"],
+            ["--resume"],
+            ["--jobs", "2", "--progress", "-"],
+            ["s9999"],
+        ],
+    )
+    def test_usage_errors_exit_2(self, argv, capsys):
+        assert main(["table1", *argv]) == 2
+        assert "error:" in capsys.readouterr().err

@@ -77,6 +77,26 @@ class TestCLI:
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "summarize"],
+        ["trace", "validate"],
+        ["trace", "flamegraph"],
+        ["verify"],
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+def test_non_utf8_file_is_a_typed_error(argv, tmp_path, capsys):
+    """Reading a file that is not UTF-8 fails with exit 2, not a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff" + b'{"schema": "repro-trace/1"}\n')
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "error:" in captured.err
+
+
 class TestVerifyCLI:
     """End-to-end coverage of ``plan --verify`` / ``verify <target>``."""
 

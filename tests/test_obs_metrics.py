@@ -402,6 +402,12 @@ class TestProgressStream:
         with pytest.raises(ReproError, match="after run_end"):
             read_events(path)
 
+    def test_rejects_non_object_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"schema": "repro-events/1", "meta": {}}\n[1]\n')
+        with pytest.raises(ReproError, match="not a JSON object"):
+            read_events(path)
+
     def test_human_renderer_depth_limits(self):
         from repro.obs import HumanProgress
 
@@ -596,3 +602,19 @@ class TestCLIObs:
         assert main(["trace", "flamegraph", str(trace), "--out", str(out)]) == 0
         assert "folded stacks" in capsys.readouterr().out
         assert "root;leaf " in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "reader,schema",
+    [
+        (read_trace, "repro-trace/1"),
+        (read_metrics, "repro-metrics/1"),
+        (read_events, "repro-events/1"),
+    ],
+    ids=["trace", "metrics", "events"],
+)
+def test_non_utf8_file_is_a_typed_error(reader, schema, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(f'{{"schema": "{schema}"}}\n'.encode() + b"\xff\n")
+    with pytest.raises(ReproError, match="cannot read"):
+        reader(path)

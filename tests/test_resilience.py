@@ -378,22 +378,24 @@ class TestPlannerResilience:
         assert info.value.stage == "route"
         assert len(info.value.attempts) == 2  # default route policy retries
 
-    def test_tree_repeater_falls_back_to_path(self):
+    def test_retime_falls_back_to_unpruned_system(self):
         g = random_circuit("fb", n_units=50, n_ffs=14, seed=29)
         faults = FaultInjector(
-            [FaultSpec("repeater", error=PlanningError, on_call=1)]
+            [FaultSpec("retime", error=PlanningError, on_call=1)]
         )
         outcome = plan_interconnect(
             g,
             seed=29,
             max_iterations=1,
             floorplan_iterations=400,
-            repeater_backend="tree",
             faults=faults,
+            verify=True,
         )
-        (rec,) = outcome.ledger.for_stage("repeater")
-        assert rec.fallback == "path"
+        (rec,) = outcome.ledger.for_stage("retime")
+        assert rec.status == "ok" and rec.fallback == "unpruned"
+        assert [a.variant for a in rec.attempts] == ["primary", "unpruned"]
         assert outcome.first.lac is not None
+        assert outcome.verification.ok, outcome.verification.failed()
 
     def test_custom_resilience_config_via_override(self):
         g = random_circuit("cfgres", n_units=40, n_ffs=12, seed=5)

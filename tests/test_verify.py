@@ -144,11 +144,7 @@ class TestDegradedOutcome:
     def test_degraded_certifies_against_achieved_period(
         self, degraded_iteration, outcome
     ):
-        certs = verify_iteration(
-            degraded_iteration,
-            outcome.config.tech,
-            repeater_backend=outcome.config.repeater_backend,
-        )
+        certs = verify_iteration(degraded_iteration, outcome.config.tech)
         assert all(c.ok for c in certs)
 
     def test_degraded_mismatch_fails_period_checker(
@@ -205,6 +201,21 @@ class TestOutcomeJson:
         path.write_text("{not json")
         with pytest.raises(VerificationError, match="not valid JSON"):
             load_outcome_json(path)
+
+    @pytest.mark.parametrize("backend,loads", [("path", True), ("tree", False)])
+    def test_legacy_repeater_planner_key(self, outcome, tmp_path, backend, loads):
+        """Older snapshots name their repeater planner; only per-path
+        buffering satisfies the per-repeater area certificate."""
+        path = tmp_path / "outcome.json"
+        save_outcome_json(outcome, path)
+        doc = json.loads(path.read_text())
+        doc["config"]["repeater_backend"] = backend
+        path.write_text(json.dumps(doc))
+        if loads:
+            assert verify_outcome(load_outcome_json(path)).ok
+        else:
+            with pytest.raises(VerificationError, match="'tree' repeater"):
+                load_outcome_json(path)
 
     def test_non_finite_delay_in_file_rejected(self, outcome, tmp_path):
         path = tmp_path / "outcome.json"
