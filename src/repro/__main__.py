@@ -192,6 +192,7 @@ def _cmd_table1(args) -> int:
     ``--checkpoint-dir`` the completed circuits are on disk and
     ``--resume`` picks up where the batch stopped.
     """
+    from repro.errors import ReproError
     from repro.experiments.circuits import TABLE1_CIRCUITS, get_circuit
     from repro.experiments.table1 import (
         _parse_fault_args,
@@ -218,8 +219,12 @@ def _cmd_table1(args) -> int:
             if args.names
             else TABLE1_CIRCUITS
         )
+        faults_for = _parse_fault_args(args.inject_fault)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_ERROR
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     overrides = {"floorplan_iterations": 300} if args.quick else {}
     if args.no_cache:
@@ -239,7 +244,7 @@ def _cmd_table1(args) -> int:
             specs,
             max_iterations=1 if args.quick else 2,
             verbose=True,
-            faults_for=_parse_fault_args(args.inject_fault),
+            faults_for=faults_for,
             plan_overrides=overrides,
             jobs=args.jobs,
             checkpoint_dir=args.checkpoint_dir,

@@ -31,10 +31,11 @@ def flow_report_markdown(outcome: PlanningOutcome) -> str:
     lines.append("")
 
     for it in outcome.iterations:
+        t_min = "-" if it.t_min is None else f"{it.t_min:.3f}"
         lines += [
             f"## Iteration {it.index}",
             "",
-            f"- periods: T_init = {it.t_init:.3f}, T_min = {it.t_min:.3f}, "
+            f"- periods: T_init = {it.t_init:.3f}, T_min = {t_min}, "
             f"T_clk = {it.t_clk:.3f}",
             f"- chip: {it.floorplan.chip_width:.0f} x "
             f"{it.floorplan.chip_height:.0f} mm "

@@ -157,7 +157,10 @@ class TimedRetiming:
 class PlanningIteration:
     """Everything produced by one interconnect-planning iteration.
 
-    ``t_clk`` is the period actually retimed for. When the requested
+    ``t_min`` is the minimum-period retiming result, or ``None`` when
+    the iteration retimed at a given ``t_clk`` (the second planning
+    iteration), which needs no search. ``t_clk`` is the period actually
+    retimed for. When the requested
     period proved infeasible and degradation relaxed it, ``degraded``
     is True and ``t_clk_requested`` keeps the original target;
     ``infeasible`` is reserved for the case where no relaxation was
@@ -178,7 +181,7 @@ class PlanningIteration:
     grid: TileGrid
     expanded: ExpandedCircuit
     t_init: float
-    t_min: float
+    t_min: Optional[float]
     t_clk: float
     min_area: Optional[TimedRetiming]
     lac: Optional[LACResult]
@@ -248,9 +251,10 @@ class PlanningOutcome:
         """Human-readable summary, mirroring a Table 1 row."""
         lines = [f"interconnect planning: {self.circuit}"]
         for it in self.iterations:
+            t_min = "-" if it.t_min is None else f"{it.t_min:.2f}"
             lines.append(
                 f"  iteration {it.index}: T_init={it.t_init:.2f} "
-                f"T_min={it.t_min:.2f} T_clk={it.t_clk:.2f}"
+                f"T_min={t_min} T_clk={it.t_clk:.2f}"
             )
             if it.degraded and it.t_clk_requested is not None:
                 lines.append(
@@ -423,14 +427,17 @@ def _run_iteration_stages(
     compiled = runner.run("compile", _compile)
     wd = compiled.wd
     t_init = compiled.t_init
-    t_min, _ = runner.run(
-        "min_period",
-        lambda _a: min_period_retiming(
-            expanded.graph, wd, tracer=tracer, compiled=compiled
-        ),
-    )
     requested = t_clk
+    # A given T_clk needs no search: the retime stage's own
+    # InfeasiblePeriodError decides it and drives the degrade path.
+    t_min: Optional[float] = None
     if t_clk is None:
+        t_min, _ = runner.run(
+            "min_period",
+            lambda _a: min_period_retiming(
+                expanded.graph, wd, tracer=tracer, compiled=compiled
+            ),
+        )
         t_clk = t_min + config.target_fraction * (t_init - t_min)
 
     def _retime_at(period: float, prune: bool):

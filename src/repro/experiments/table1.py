@@ -467,7 +467,7 @@ def _parse_fault_args(fault_args: Sequence[str]):
     fails), so the named circuit genuinely fails and exercises batch
     isolation rather than being rescued by a retry.
     """
-    from repro.errors import PlanningError
+    from repro.errors import PlanningError, ReproError
     from repro.resilience.faults import FaultSpec
 
     by_circuit: dict = {}
@@ -475,9 +475,9 @@ def _parse_fault_args(fault_args: Sequence[str]):
         try:
             name, stage = arg.split(":", 1)
         except ValueError:
-            raise SystemExit(
+            raise ReproError(
                 f"--inject-fault expects CIRCUIT:STAGE, got {arg!r}"
-            )
+            ) from None
         by_circuit.setdefault(name, []).append(
             FaultSpec(stage, error=PlanningError, repeat=True)
         )

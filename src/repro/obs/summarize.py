@@ -11,7 +11,9 @@
    retiming sub-spans nested in them;
 3. **Convergence tables** — per LAC retiming: round-by-round
    ``N_FOA``/``N_F``/objective and tile-weight spread; per min-period
-   search: every FEAS probe with candidate period, verdict and rounds;
+   search: how many probes FEAS and the exact checker decided, then
+   every probe with candidate period, verdict, FEAS rounds and the
+   length of the negative cycle behind an exact infeasible verdict;
 4. **One-liners** — floorplan annealing acceptance, FM cut
    trajectories, routing congestion.
 """
@@ -216,36 +218,45 @@ def _format_lac_tables(doc: TraceDocument) -> List[str]:
     return lines
 
 
+#: Child spans of ``min_period/search``: FEAS probes under the round
+#: budget, the exact decisions of the probes FEAS did not verify, and
+#: the exact-tie refinement.
+_FEAS_SPANS = ("feas/probe", "feas/exact", "feas/refine")
+
+
 def _format_feas_tables(doc: TraceDocument) -> List[str]:
     lines: List[str] = []
     for search in doc.by_name("min_period/search"):
-        probes = [
-            s
-            for s in doc.children_of(search)
-            if s.name in ("feas/probe", "feas/certify", "feas/refine")
-        ]
+        probes = [s for s in doc.children_of(search) if s.name in _FEAS_SPANS]
         if not probes:
             continue
         probes.sort(key=lambda s: s.start)
+        by_feas = sum(
+            p.name == "feas/probe" and p.attrs.get("verdict") == "feasible"
+            for p in probes
+        )
+        by_exact = sum(p.name == "feas/exact" for p in probes)
+        ties = sum(p.name == "feas/refine" for p in probes)
         scope = _scope_of(doc, search)
         title = "min-period search" + (f" ({scope})" if scope else "")
         lines.append(
             f"{title}: engine={search.attrs.get('engine', '?')}, "
             f"{search.attrs.get('n_candidates', '?')} candidates, "
             f"T_min={search.attrs.get('t_min', float('nan')):.4f} "
-            f"({len(probes)} probes)"
+            f"({by_feas} FEAS-decided, {by_exact} exact-decided, "
+            f"{ties} tie refinements)"
         )
         lines.append(
             f"  {'kind':<12}  {'T':>9}  {'verdict':<10}  {'rounds':>6}  "
-            f"{'seconds':>8}"
+            f"{'cycle':>5}  {'seconds':>8}"
         )
         for p in probes:
             a = p.attrs
             kind = p.name.split("/", 1)[1]
-            rounds = a.get("rounds", "-")
             lines.append(
                 f"  {kind:<12}  {a.get('t', float('nan')):>9.4f}  "
-                f"{a.get('verdict', '?'):<10}  {rounds!s:>6}  {p.elapsed:>7.3f}s"
+                f"{a.get('verdict', '?'):<10}  {a.get('rounds', '-')!s:>6}  "
+                f"{a.get('cycle_len', '-')!s:>5}  {p.elapsed:>7.3f}s"
             )
     return lines
 

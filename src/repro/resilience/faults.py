@@ -198,10 +198,11 @@ class ResultFault:
 
     Attributes:
         kind: What to corrupt — ``"retime_label"`` (bump one unit's
-            retiming label), ``"period"`` (report a ``T_clk`` below
-            ``T_min``), ``"tile_sum"`` (skew one tile's flip-flop
-            count in the area report), ``"route_usage"`` (inflate one
-            routed cell's track usage), or ``"repeater_area"`` (drift
+            retiming label), ``"period"`` (report half of
+            ``min(T_min, T_clk)`` as ``T_clk``), ``"tile_sum"`` (skew
+            one tile's flip-flop count in the area report),
+            ``"route_usage"`` (inflate one routed cell's track usage),
+            or ``"repeater_area"`` (drift
             the grid's live reservation away from the audited
             snapshot).
         target: Which retiming to corrupt, for the kinds that touch
@@ -275,8 +276,12 @@ class ResultFault:
 
     def _apply_period(self, it) -> str:
         was = it.t_clk
-        it.t_clk = 0.5 * min(it.t_min, it.t_clk)
-        return f"period: reported T_clk {was:.6g} -> {it.t_clk:.6g} (< T_min)"
+        floor = it.t_clk if it.t_min is None else min(it.t_min, it.t_clk)
+        it.t_clk = 0.5 * floor
+        return (
+            f"period: reported T_clk {was:.6g} -> {it.t_clk:.6g} "
+            "(half of min(T_min, T_clk))"
+        )
 
     def _apply_tile_sum(self, it) -> str:
         tag, _result, report = self._pick_retiming(it)

@@ -14,14 +14,18 @@ everything in numpy arrays:
   it changes neither the solution set nor the Bellman–Ford distances,
   while cutting the arc count by ~99% on the larger circuits; the
   pruned arrays are cached per period across probes;
-* feasibility is decided by a vectorised Bellman–Ford on the
-  difference-constraint graph (``r(u) - r(v) <= b`` becomes arc
-  ``v -> u`` with weight ``b``; distances from an implicit all-zero
-  source satisfy every constraint iff no negative cycle exists).
+* feasibility is decided by Bellman–Ford on the difference-constraint
+  graph (``r(u) - r(v) <= b`` becomes arc ``v -> u`` with weight
+  ``b``; distances from an implicit all-zero source satisfy every
+  constraint iff no negative cycle exists): scipy's compiled solver
+  from scratch (:meth:`FeasibilityChecker.check`), or a vectorised
+  warm-started relaxation (:meth:`FeasibilityChecker.refine`) that
+  stops at the first cycle of its predecessor graph — always a
+  negative cycle, and the witness of the infeasible verdict.
 
-The result is exact for the split-host semantics — identical to
-:func:`repro.retime.minperiod.is_feasible_period`, which the test
-suite cross-checks — at a fraction of the cost.
+Both are exact for the split-host semantics — the test suite
+cross-checks them against each other and against the constraint-object
+oracle — at a fraction of the cost of building constraint objects.
 
 This module is *solver machinery*, not a certifier: it shares the CSR
 caches and W/D matrices whose correctness is under test. Independent
@@ -45,8 +49,8 @@ from repro.retime.wd import WDMatrices
 
 #: Relaxation rounds granted to the raw (unpruned) arc arrays before
 #: :meth:`FeasibilityChecker.refine` switches to the pruned set — well
-#: above what a good warm start needs, well below the ``n``-round tail
-#: an infeasible probe would drag the full arrays through.
+#: above what a good warm start needs to converge or close a negative
+#: cycle, well below the ``n``-round tail of a badly warmed probe.
 _REFINE_WARM_ROUNDS = 24
 
 
@@ -75,6 +79,11 @@ class FeasibilityChecker:
     arc_cache: Dict[float, Tuple[np.ndarray, np.ndarray, np.ndarray]] = (
         dataclasses.field(default_factory=dict)
     )
+    #: The negative cycle behind the last infeasible :meth:`refine`
+    #: verdict, as ``wd.order`` indices in arc order (see
+    #: :func:`_pred_cycle`); ``None`` after a feasible verdict, a
+    #: vertex-delay reject or a backstop exit.
+    last_cycle: Optional[np.ndarray] = None
 
     @classmethod
     def build(cls, graph: CircuitGraph, wd: WDMatrices) -> "FeasibilityChecker":
@@ -199,48 +208,47 @@ class FeasibilityChecker:
         and identical to :meth:`check`; only the cost differs.
 
         Each round relaxes ``r(u) <- min(r(u), r(v) + b)`` over the
-        arcs leaving changed vertices, which reproduces full
-        Bellman–Ford rounds exactly (arcs out of unchanged vertices
-        cannot relax further). Hence convergence within ``n + 2``
-        rounds, and a round that still changes after that proves a
-        negative cycle, i.e. infeasibility. A second sound cutoff fires
-        earlier in practice: every bound is ``>= -1``, so feasible
-        labels never drop more than ``ptp(start) + n`` below start.
+        arcs leaving changed vertices (arcs out of unchanged vertices
+        cannot relax further, so this is a full Bellman–Ford round) and
+        records, for every lowered vertex, the arc that gave its new
+        minimum. A cycle in that predecessor graph is always a negative
+        cycle (Cherkassky & Goldberg 1999), so infeasible periods exit
+        as soon as one closes — within a few rounds on the Table-1
+        graphs — and :attr:`last_cycle` holds it. Two backstops stay
+        sound without it: every bound is ``>= -1``, so feasible labels
+        never drop more than ``ptp(start) + n`` below start, and a
+        round that still changes after ``n + 2`` full rounds proves a
+        negative cycle.
 
-        Cost strategy: a good warm start converges within a few rounds,
-        where the witness prune would cost more than the whole
-        relaxation — so the first rounds run over the raw arc arrays.
-        Infeasible (or badly warmed) probes keep large frontiers alive
-        for up to ``n`` rounds, and there the per-round arc traffic
-        dominates: past a small round cap the relaxation restarts its
-        frontier on the pruned arc set and continues from the labels
-        reached so far. Both arc sets describe the same solution set
-        and relaxation is monotone, so the verdict and the final labels
-        are independent of where the switch happens.
+        The first rounds run over the raw arc arrays: a good warm start
+        converges (or closes a cycle) before the witness prune would
+        have paid for itself. Past a small round cap the relaxation
+        restarts its frontier on the pruned arc set and continues from
+        the labels reached so far; both arc sets describe the same
+        solution set, so the verdict does not depend on the switch.
         """
+        self.last_cycle = None
         if self.max_delay > period:
             return None
         r = np.array(start, dtype=np.int64)
         base = r.copy()
         worst = int(np.ptp(r)) + self.n + 1 if self.n else 0
+        # pred[x] is the tail of the arc that last lowered x; the
+        # sentinel root n stands for "never lowered".
+        pred = np.full(self.n + 1, self.n, dtype=np.int64)
         pruned = period in self.arc_cache
         arcs = self._probe_arrays(period, prune=pruned)
         budget = _REFINE_WARM_ROUNDS if not pruned else self.n + 2
-        rounds = 0
         while True:
-            status = self._relax(arcs, r, base, worst, budget)
+            status = self._relax(arcs, r, base, worst, budget, pred)
             if status == "converged":
                 return r
-            if status == "infeasible":
-                return None
-            rounds += budget
-            if pruned and rounds >= self.n + 2:
+            if status == "infeasible" or pruned:
                 # Still changing after n + 2 full rounds on one arc
                 # set: negative cycle.
                 return None
             arcs = self._probe_arrays(period, prune=True)
             pruned = True
-            rounds = 0
             budget = self.n + 2
 
     def _relax(
@@ -250,12 +258,14 @@ class FeasibilityChecker:
         base: np.ndarray,
         worst: int,
         budget: int,
+        pred: np.ndarray,
     ) -> str:
         """Run up to ``budget`` relaxation rounds in place on ``r``.
 
         Returns ``"converged"`` (no arc can relax further),
-        ``"infeasible"`` (labels fell past the sound ``worst`` cutoff),
-        or ``"budget"`` (rounds exhausted, ``r`` holds progress so far).
+        ``"infeasible"`` (a predecessor cycle closed, or labels fell
+        past the sound ``worst`` cutoff), or ``"budget"`` (rounds
+        exhausted, ``r`` holds progress so far).
         """
         u, v, b = arcs
         order = np.argsort(v, kind="stable")
@@ -280,9 +290,15 @@ class FeasibilityChecker:
             if not viol.any():
                 return "converged"
             au = au[viol]
-            np.minimum.at(r, au, cand[viol])
+            cand = cand[viol]
+            np.minimum.at(r, au, cand)
+            won = cand == r[au]
+            pred[au[won]] = v[eidx[viol][won]]
             frontier[:] = False
             frontier[au] = True
+            self.last_cycle = _pred_cycle(pred)
+            if self.last_cycle is not None:
+                return "infeasible"
             if int((base - r).max()) > worst:
                 return "infeasible"
         return "budget"
@@ -297,3 +313,29 @@ class FeasibilityChecker:
         if dist is None:
             return None
         return {v: int(dist[i]) for v, i in self.wd.index.items()}
+
+
+def _pred_cycle(pred: np.ndarray) -> Optional[np.ndarray]:
+    """A cycle of the predecessor array, or ``None`` if it is a forest.
+
+    ``pred`` has one entry per vertex plus the sentinel root ``n``
+    (``pred[n] == n``). Pointer doubling follows ``2**k >= n + 1``
+    predecessor steps from every vertex at once: each one then sits at
+    the root or on a cycle. The cycle is returned in arc order —
+    ``cycle[i] -> cycle[i + 1]`` (wrapping) is a constraint arc, i.e.
+    ``r(cycle[i + 1]) - r(cycle[i]) <= b``.
+    """
+    n = pred.size - 1
+    p = pred
+    for _ in range(int(np.ceil(np.log2(n + 1))) + 1):
+        p = p[p]
+    stuck = np.flatnonzero(p[:n] != n)
+    if stuck.size == 0:
+        return None
+    head = int(p[stuck[0]])
+    cycle = [head]
+    x = int(pred[head])
+    while x != head:
+        cycle.append(x)
+        x = int(pred[x])
+    return np.array(cycle[::-1], dtype=np.int64)

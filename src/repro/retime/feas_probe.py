@@ -48,11 +48,10 @@ infeasible, no matter how the rounds interleave.
 graph retimed by ``r0`` (arrival times depend only on retimed weights,
 and retimings compose additively), so any legal label vector — in
 particular the witness of a feasible probe at a larger period — is a
-valid starting point with the same guarantees. The binary search in
-:func:`repro.retime.minperiod.min_period_retiming` restarts every probe
-from the last feasible witness and typically converges in a handful of
-rounds; see :meth:`FeasProbe.probe_budget` for how it keeps infeasible
-probes cheap as well.
+valid starting point with the same guarantees. The min-period search
+(:mod:`repro.retime.minperiod`) runs every probe from its best witness
+under a small round budget (:meth:`FeasProbe.probe_budget`): feasible
+probes verify within it, and the exact checker decides the rest.
 """
 
 from __future__ import annotations
@@ -320,9 +319,8 @@ class FeasProbe:
 
         Returns ``(True, labels)`` when the period verified within the
         budget, else ``(False, None)`` — which means *not verified*,
-        not necessarily infeasible. The caller owns re-checking any
-        boundary it derives from unverified probes with :meth:`probe`
-        (see the min-period search).
+        not necessarily infeasible; the caller decides such a period
+        another way (the min-period search asks the exact checker).
         """
         if self.max_delay > period:
             self.last_rounds = 0

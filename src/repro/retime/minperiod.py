@@ -3,37 +3,29 @@
 A classic Leiserson–Saxe result: the minimum achievable clock period is
 always one of the finitely many distinct ``D(u, v)`` values, and a
 period ``T`` is achievable iff the edge + clocking difference
-constraints for ``T`` are satisfiable. Feasibility probes run on the
-sparse vectorised FEAS engine (:mod:`repro.retime.feas_probe`); the
-search exploits three facts:
+constraints for ``T`` are satisfiable. The search is clamped for free —
+candidates below the maximum single-vertex delay are infeasible, and
+the first candidate at or above the current clock period is feasible
+with the identity retiming — and every probe is decided exactly:
 
-* candidates below the maximum single-vertex delay are infeasible and
-  candidates at or above the initial clock period are feasible with the
-  identity retiming, so the search is clamped to that window for free;
-* a feasible witness at one period is a legal warm start for every
-  probe at a smaller period, so feasible probes converge in a handful
-  of FEAS rounds;
-* infeasible probes are the expensive case for FEAS (the sound
-  certificate needs up to ``|V|`` rounds), so the binary search runs
-  *budgeted* probes — "not verified within the budget" is treated as
-  tentatively infeasible — and afterwards certifies the single
-  boundary candidate below the best verified period with one sound
-  probe. Feasibility is monotone in the period, so that one
-  certificate pins down the exact minimum; if it instead uncovers a
-  feasible period the search resumes below it with a larger budget
-  (each resume strictly lowers the best index, so this terminates).
+* the sparse FEAS engine (:mod:`repro.retime.feas_probe`) runs a few
+  rounds (:data:`_PROBE_ROUNDS`) from the best witness so far. A
+  feasible witness at one period is a legal warm start at every
+  smaller one, so feasible probes usually verify inside that budget;
+* a probe FEAS does not verify is decided on the spot by the
+  warm-started Bellman–Ford relaxation
+  (:meth:`FeasibilityChecker.refine`). It either converges to a
+  witness or closes a negative cycle in its predecessor graph, which
+  on the Table-1 graphs happens within a few rounds.
 
-The dense Bellman–Ford checker (:mod:`repro.retime.fastcheck`) certifies
-that boundary candidate, and runs the whole search only as the
-automatic fallback when :meth:`FeasProbe.build` rejects the graph.
+Graphs that :meth:`FeasProbe.build` rejects run the same loop without
+the FEAS step.
 
 The search runs over *merged* candidates (:func:`candidate_periods`
-collapses float-noise runs of ``D`` values), so every search finishes
-with an exact-tie refinement: a warm-started bisection over the few
-exact ``D`` values inside the winning run, decided by the exact
-checker (:meth:`FeasibilityChecker.refine`). ``T_min`` is therefore
-the minimum over the *exact* candidate set, whichever engine ran the
-search.
+collapses float-noise runs of ``D`` values), so it finishes with an
+exact-tie refinement: a warm-started bisection over the few exact ``D``
+values inside the winning run, decided by the same exact checker.
+``T_min`` is therefore the minimum over the *exact* candidate set.
 
 The paper uses min-period retiming to establish ``T_min``, then sets
 ``T_clk`` 20% of the way from ``T_min`` up to ``T_init``.
@@ -47,7 +39,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import InfeasiblePeriodError, RetimingError
+from repro.errors import RetimingError
 from repro.netlist.graph import CircuitGraph
 from repro.obs import NOOP_TRACER
 from repro.retime.fastcheck import FeasibilityChecker
@@ -57,9 +49,9 @@ from repro.retime.wd import WDMatrices, candidate_periods, wd_matrices
 
 log = logging.getLogger(__name__)
 
-#: Initial FEAS round budget for tentative probes inside the binary
-#: search (quadrupled on every boundary-certification miss).
-_INITIAL_BUDGET = 64
+#: FEAS rounds each binary-search probe gets before the exact checker
+#: decides it (2 and 4 measured the same on Table 1).
+_PROBE_ROUNDS = 4
 
 
 def clock_period(graph: CircuitGraph, wd: Optional[WDMatrices] = None) -> float:
@@ -93,185 +85,104 @@ def is_feasible_period(
     return normalise_labels(graph, labels)
 
 
-#: Result of one candidate search: the best (merged) candidate, its
-#: witness labels, the largest candidate certified infeasible (``None``
-#: if the search never moved above the first candidate), and the dense
-#: checker if the search happened to build one.
-_SearchResult = Tuple[
-    float, Dict[str, int], Optional[float], Optional[FeasibilityChecker]
-]
+def _exact(
+    checker: FeasibilityChecker,
+    t: float,
+    warm: np.ndarray,
+    tracer,
+    name: str = "feas/exact",
+) -> Optional[np.ndarray]:
+    """One exact decision at ``t``, traced as a ``name`` span."""
+    with tracer.span(name, t=t) as span:
+        raw = checker.refine(t, warm)
+        cycle = checker.last_cycle
+        verdict = "infeasible" if raw is None else "feasible"
+        span.set(verdict=verdict, cycle_len=0 if cycle is None else len(cycle))
+        tracer.metrics.counter(
+            "feas_probes_total", kind=name.split("/", 1)[1], verdict=verdict
+        ).inc()
+    return raw
 
 
-def _feas_search(
-    engine: FeasProbe,
+def _search(
+    engine: Optional[FeasProbe],
+    checker: FeasibilityChecker,
     graph: CircuitGraph,
-    wd: WDMatrices,
     candidates,
     tracer=NOOP_TRACER,
-) -> _SearchResult:
-    """Clamped, warm-started, budgeted binary search (see module doc).
+) -> Tuple[int, np.ndarray]:
+    """Clamped, warm-started binary search (see module doc).
 
-    The (rare — usually one per search) boundary certification runs on
-    the Bellman–Ford checker: FEAS's infeasibility certificate needs up
-    to ``|V|`` increments of one vertex and increments interleave, so
-    certifying a near-feasible period can take several thousand rounds
-    where one warm-started exact relaxation
-    (:meth:`FeasibilityChecker.refine`, seeded with the witness of the
-    best verified period) converges in a handful of rounds over the
-    pruned constraint arcs.
+    Returns the index of the smallest feasible merged candidate and its
+    witness labels (indexed like ``wd.order``). Every probe is decided
+    exactly, so ``candidates[index - 1]`` is infeasible.
     """
-    checker: Optional[FeasibilityChecker] = None
-    perm: Optional[np.ndarray] = None  # engine position -> wd position
+    wd = checker.wd
+    if engine is not None:
+        perm = np.array([wd.index[v] for v in engine.order], dtype=np.int64)
 
-    def sound_probe(
-        idx: int, start: Optional[np.ndarray]
-    ) -> Optional[np.ndarray]:
-        nonlocal checker, perm
-        with tracer.span(
-            "feas/certify", t=candidates[idx], method="bellman-ford"
-        ) as span:
-            if checker is None:
-                checker = FeasibilityChecker.build(graph, wd)
-                perm = np.array(
-                    [wd.index[v] for v in engine.order], dtype=np.int64
+    def decide(idx: int, warm: np.ndarray) -> Optional[np.ndarray]:
+        t = candidates[idx]
+        if engine is not None:
+            with tracer.span("feas/probe", t=t, budget=_PROBE_ROUNDS) as span:
+                verified, raw = engine.probe_budget(t, warm[perm], _PROBE_ROUNDS)
+                span.set(
+                    verdict="feasible" if verified else "unverified",
+                    rounds=engine.last_rounds,
                 )
-            warm = np.zeros(engine.n, dtype=np.int64)
-            if start is not None:
-                warm[perm] = start
-            refined = checker.refine(candidates[idx], warm)
-            raw = None if refined is None else refined[perm]
-            verdict = "infeasible" if raw is None else "feasible"
-            span.set(verdict=verdict)
-            tracer.metrics.counter(
-                "feas_probes_total", kind="certify", verdict=verdict
-            ).inc()
-        return raw
-
-    # Clamp the window: below the max vertex delay nothing is feasible;
-    # at the first candidate >= the current clock period the identity
-    # retiming (all-zero labels) is a free witness.
-    floor = bisect.bisect_left(candidates, engine.max_delay)
-    hi = bisect.bisect_left(candidates, clock_period(graph, wd))
-    best_idx = min(hi, len(candidates) - 1)
-    best_raw = np.zeros(engine.n, dtype=np.int64)
-
-    budget = _INITIAL_BUDGET
-    while True:
-        lo, cur_hi = floor, best_idx
-        while lo < cur_hi:
-            mid = (lo + cur_hi) // 2
-            with tracer.span(
-                "feas/probe", t=candidates[mid], budget=budget
-            ) as span:
-                verified, raw = engine.probe_budget(
-                    candidates[mid], best_raw, budget
-                )
-                verdict = "feasible" if verified else "unverified"
-                span.set(verdict=verdict, rounds=engine.last_rounds)
-                tracer.metrics.counter(
-                    "feas_probes_total", kind="probe", verdict=verdict
-                ).inc()
             if verified:
-                best_idx, best_raw = mid, raw
-                cur_hi = mid
-            else:
-                lo = mid + 1
-        if best_idx == floor:
-            # Candidates below the floor are < max vertex delay:
-            # infeasible with certainty, nothing left to certify.
-            break
-        raw = sound_probe(best_idx - 1, best_raw)
+                tracer.metrics.counter(
+                    "feas_probes_total", kind="feas", verdict="feasible"
+                ).inc()
+                out = np.empty_like(raw)
+                out[perm] = raw
+                return out
+        return _exact(checker, t, warm, tracer)
+
+    lo = bisect.bisect_left(candidates, checker.max_delay)
+    best = min(
+        bisect.bisect_left(candidates, clock_period(graph, wd)),
+        len(candidates) - 1,
+    )
+    best_r = np.zeros(checker.n, dtype=np.int64)
+    while lo < best:
+        mid = (lo + best) // 2
+        raw = decide(mid, best_r)
         if raw is None:
-            # Sound infeasibility one step below the best verified
-            # period: monotonicity makes the best period the minimum.
-            break
-        best_idx, best_raw = best_idx - 1, raw
-        budget *= 4
-    lower = candidates[best_idx - 1] if best_idx > 0 else None
-    return candidates[best_idx], engine.label_dict(best_raw), lower, checker
-
-
-def _bellman_ford_search(
-    graph: CircuitGraph, wd: WDMatrices, candidates, tracer=NOOP_TRACER
-) -> _SearchResult:
-    """Binary search with the dense Bellman–Ford checker (the fallback
-    when :meth:`FeasProbe.build` rejects the graph)."""
-    checker = FeasibilityChecker.build(graph, wd)
-
-    def probe(t: float) -> Optional[Dict[str, int]]:
-        with tracer.span("feas/probe", t=t, method="bellman-ford") as span:
-            labels = checker.labels(t)
-            verdict = "infeasible" if labels is None else "feasible"
-            span.set(verdict=verdict)
-            tracer.metrics.counter(
-                "feas_probes_total", kind="probe", verdict=verdict
-            ).inc()
-        return labels
-
-    lo, hi = 0, len(candidates) - 1
-    if (labels := probe(candidates[hi])) is None:
-        raise InfeasiblePeriodError(
-            candidates[hi], "even the largest candidate period is infeasible"
-        )
-    best = (candidates[hi], labels)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        labels = probe(candidates[mid])
-        if labels is not None:
-            best = (candidates[mid], labels)
-            hi = mid
-        else:
             lo = mid + 1
-    lower = candidates[lo - 1] if lo > 0 else None
-    return best[0], best[1], lower, checker
+        else:
+            best, best_r = mid, raw
+    return best, best_r
 
 
 def _refine_exact(
-    graph: CircuitGraph,
-    wd: WDMatrices,
+    checker: FeasibilityChecker,
     period: float,
-    labels: Dict[str, int],
+    start: np.ndarray,
     lower: Optional[float],
-    checker: Optional[FeasibilityChecker],
+    exact: list,
     tracer=NOOP_TRACER,
-    exact: Optional[list] = None,
-) -> Tuple[float, Dict[str, int]]:
+) -> Tuple[float, np.ndarray]:
     """Tighten a merged-candidate winner to the exact minimum.
 
     :func:`candidate_periods` merges runs of near-equal ``D`` values to
     the run's largest member, so the searched winner can sit up to the
     merge tolerance above the true minimum over *exact* candidates.
-    Everything at or below ``lower`` is certified infeasible and the
-    run's members are within the FEAS epsilon of each other, so the tie
-    is broken with the exact warm-started checker
-    (:meth:`FeasibilityChecker.refine`): a bisection over the handful
-    of exact values between ``lower`` and ``period``.
+    Everything at or below ``lower`` is infeasible, so the tie is broken
+    by a bisection over the handful of exact values between ``lower``
+    and ``period``.
     """
-    if exact is None:
-        exact = candidate_periods(wd, tol=0.0)
     lo = bisect.bisect_right(exact, lower) if lower is not None else 0
     hi = bisect.bisect_left(exact, period)
-    max_delay = wd.max_vertex_delay()
-    domain = [t for t in exact[lo:hi] if t >= max_delay]
+    domain = [t for t in exact[lo:hi] if t >= checker.max_delay]
     if not domain:
-        return period, labels
+        return period, start
     domain.append(period)
-    if checker is None:
-        checker = FeasibilityChecker.build(graph, wd)
-    start = np.array(
-        [labels.get(v, 0) for v in wd.order], dtype=np.int64
-    )
-    def refine_probe(t: float, warm: np.ndarray) -> Optional[np.ndarray]:
-        with tracer.span("feas/refine", t=t) as span:
-            raw = checker.refine(t, warm)
-            span.set(verdict="infeasible" if raw is None else "feasible")
-        return raw
-
     best: Optional[Tuple[float, np.ndarray]] = None
     lo_i, hi_i = 0, len(domain)
     while lo_i < hi_i:
         mid = (lo_i + hi_i) // 2
-        raw = refine_probe(domain[mid], start)
+        raw = _exact(checker, domain[mid], start, tracer, "feas/refine")
         if raw is not None:
             best = (domain[mid], raw)
             start = raw
@@ -283,14 +194,13 @@ def _refine_exact(
         # only at a knife edge where the FEAS epsilon absorbed a real
         # sub-tolerance violation. Walk up to the first exact winner.
         for t in exact[bisect.bisect_right(exact, period):]:
-            raw = refine_probe(t, start)
+            raw = _exact(checker, t, start, tracer, "feas/refine")
             if raw is not None:
                 best = (t, raw)
                 break
         if best is None:  # pragma: no cover - T_init is always feasible
             raise RetimingError("no feasible candidate period")
-    t, raw = best
-    return t, {v: int(raw[i]) for v, i in wd.index.items()}
+    return best
 
 
 def min_period_retiming(
@@ -302,17 +212,19 @@ def min_period_retiming(
     """Find the minimum feasible period and a retiming achieving it.
 
     Returns ``(T_min, result)``; binary-searches the sorted distinct
-    ``D`` values with the sparse FEAS engine. Graphs the engine
-    rejects at build time fall back to the dense Bellman–Ford checker;
-    both decide feasibility exactly, so ``T_min`` is the same either
-    way (the witness retiming may differ). The ``min_period/search``
-    span's ``engine`` attribute records which one ran (``feas``,
-    ``bellman-ford``, or ``cache`` for a replayed witness).
+    ``D`` values with every probe decided exactly (see module doc).
+    Graphs the FEAS engine rejects at build time run the search on the
+    exact checker alone; ``T_min`` is the same either way (the witness
+    retiming may differ). The ``min_period/search`` span's ``engine``
+    attribute records which one ran (``feas``, ``bellman-ford``, or
+    ``cache`` for a replayed witness).
 
     ``tracer`` (a :class:`repro.obs.Tracer`) wraps the whole search in
-    a ``min_period/search`` span; every budgeted probe, boundary
-    certification and exact-tie refinement becomes a child span with
-    its candidate period, verdict, and FEAS round count.
+    a ``min_period/search`` span. Every FEAS probe (``feas/probe``:
+    candidate period, verdict, rounds), exact decision (``feas/exact``:
+    verdict and the length of the negative cycle that proved an
+    infeasible one) and exact-tie refinement (``feas/refine``) becomes
+    a child span.
 
     ``compiled`` (a :class:`repro.compile.CompiledCircuit` of this
     graph) supplies the W/D matrices, candidate sets and FEAS arrays
@@ -326,10 +238,12 @@ def min_period_retiming(
     if compiled is not None:
         wd = compiled.wd
         candidates = compiled.candidates
+        exact = compiled.exact_candidates
     else:
         if wd is None:
             wd = wd_matrices(graph)
         candidates = candidate_periods(wd)
+        exact = None
     if not candidates:
         raise RetimingError("graph has no paths; period undefined")
 
@@ -357,27 +271,20 @@ def min_period_retiming(
                     engine = FeasProbe.build(graph)
                 except RetimingError:
                     log.debug(
-                        "FEAS engine unavailable for %s; using Bellman-Ford",
+                        "FEAS engine unavailable for %s; exact checker only",
                         graph.name,
                     )
-            if engine is not None:
-                period, labels, lower, checker = _feas_search(
-                    engine, graph, wd, candidates, tracer=tracer
-                )
-            else:
-                period, labels, lower, checker = _bellman_ford_search(
-                    graph, wd, candidates, tracer=tracer
-                )
-            period, labels = _refine_exact(
-                graph,
-                wd,
-                period,
-                labels,
-                lower,
+            checker = FeasibilityChecker.build(graph, wd)
+            best, raw = _search(engine, checker, graph, candidates, tracer)
+            period, raw = _refine_exact(
                 checker,
+                candidates[best],
+                raw,
+                candidates[best - 1] if best > 0 else None,
+                exact if exact is not None else candidate_periods(wd, tol=0.0),
                 tracer=tracer,
-                exact=compiled.exact_candidates if compiled is not None else None,
             )
+            labels = {v: int(raw[i]) for v, i in wd.index.items()}
             if compiled is not None:
                 compiled.note_min_period(period, labels)
             search.set(

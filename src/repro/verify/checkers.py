@@ -87,13 +87,20 @@ def verify_iteration(iteration, tech) -> List[Certificate]:
 # period
 # ----------------------------------------------------------------------
 def check_periods(iteration) -> Certificate:
-    """Ordering ``T_min <= T_clk <= T_init`` and ``T_init`` re-derived."""
+    """Ordering ``T_min <= T_clk <= T_init`` and ``T_init`` re-derived.
+
+    A fixed-period iteration reports no ``T_min``; its ordering check
+    is ``T_clk <= T_init`` alone (:func:`check_target_period` still
+    certifies the achieved period).
+    """
     subject = f"iteration {iteration.index}"
     witnesses: List[str] = []
     t_min, t_clk, t_init = iteration.t_min, iteration.t_clk, iteration.t_init
-    if not (t_min <= t_clk + _TOL and t_clk <= t_init + _TOL):
+    ordered = t_min is None or t_min <= t_clk + _TOL
+    if not (ordered and t_clk <= t_init + _TOL):
+        shown = "-" if t_min is None else f"{t_min:.6g}"
         witnesses.append(
-            f"period ordering broken: T_min={t_min:.6g} T_clk={t_clk:.6g} "
+            f"period ordering broken: T_min={shown} T_clk={t_clk:.6g} "
             f"T_init={t_init:.6g}"
         )
     expanded = iteration.expanded.graph

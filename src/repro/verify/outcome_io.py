@@ -243,7 +243,7 @@ def _iteration_from_dict(doc: Dict[str, Any]):
         grid=grid,
         expanded=expanded,
         t_init=float(doc["t_init"]),
-        t_min=float(doc["t_min"]),
+        t_min=None if doc.get("t_min") is None else float(doc["t_min"]),
         t_clk=float(doc["t_clk"]),
         min_area=min_area,
         lac=lac,

@@ -122,9 +122,9 @@ class TestTable1CLI:
         assert code == 1
         assert "s298 FAILED" in capsys.readouterr().out
 
-    def test_bad_fault_spec_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["table1", "s298", "--inject-fault", "garbage"])
+    def test_bad_fault_spec_rejected(self, capsys):
+        assert main(["table1", "s298", "--inject-fault", "garbage"]) == 2
+        assert "CIRCUIT:STAGE" in capsys.readouterr().err
 
     def test_cli_forwards_table1_flags(self, monkeypatch, tmp_path, capsys):
         import repro.experiments.table1 as table1

@@ -16,6 +16,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.summarize import rollup, summarize
+from repro.retime.minperiod import _PROBE_ROUNDS
 
 
 class FakeClock:
@@ -362,7 +363,17 @@ class TestPlannerTrace:
         assert probes
         for p in probes:
             assert p.attrs["t"] > 0
-            assert p.attrs["verdict"] in ("feasible", "unverified", "infeasible")
+            assert p.attrs["verdict"] in ("feasible", "unverified")
+            assert p.attrs["rounds"] <= _PROBE_ROUNDS
+        # Probes FEAS leaves unverified are decided exactly, on the spot.
+        exact = doc.by_name("feas/exact")
+        assert len(exact) == sum(
+            p.attrs["verdict"] == "unverified" for p in probes
+        )
+        for e in exact + doc.by_name("feas/refine"):
+            assert e.attrs["verdict"] in ("feasible", "infeasible")
+            assert e.attrs["cycle_len"] >= 0
+        assert not doc.by_name("feas/certify")
 
     def test_anneal_and_fm_and_route_annotations(self, doc):
         (anneal,) = doc.by_name("floorplan/anneal")
@@ -389,6 +400,7 @@ class TestPlannerTrace:
         (search,) = doc.by_name("min_period/search")
         assert search.attrs["engine"] in ("feas", "bellman-ford", "cache")
         assert f"engine={search.attrs['engine']}," in text
+        assert "FEAS-decided" in text and "exact-decided" in text
         assert "prober=" not in text
         assert "floorplan anneal" in text
         assert "stage" in text and "seconds" in text

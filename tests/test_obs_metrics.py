@@ -502,7 +502,11 @@ class TestInstrumentedPlanner:
     def test_solver_metrics_recorded(self, paths):
         doc = read_metrics(paths["metrics"])
         assert doc.get("lac_rounds_total").value >= 1
-        assert doc.by_name("feas_probes_total")
+        probes = doc.by_name("feas_probes_total")
+        assert probes
+        # kind names who decided the probe: FEAS under its round budget,
+        # the exact checker, or the exact-tie refinement.
+        assert {p.labels["kind"] for p in probes} <= {"feas", "exact", "refine"}
         assert doc.by_name("stage_seconds")
         assert doc.by_name("anneal_moves_total")
 

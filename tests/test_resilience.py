@@ -26,6 +26,7 @@ from repro.resilience import (
     default_resilience,
 )
 from repro.resilience.runner import perturbed_seed
+from repro.retime import min_period_retiming
 
 
 class TestStagePolicy:
@@ -279,7 +280,11 @@ class TestDegradation:
         assert not it.infeasible
         assert it.degraded
         assert it.t_clk_requested == 0.01
-        assert it.t_min - 1e-9 <= it.t_clk <= it.t_init + 1e-9
+        # A fixed-period iteration runs no search; the relaxed period
+        # still sits between the graph's own T_min and T_init.
+        assert it.t_min is None
+        t_min, _ = min_period_retiming(it.expanded.graph)
+        assert t_min - 1e-9 <= it.t_clk <= it.t_init + 1e-9
         assert it.lac is not None
         assert any("degraded" in n for n in runner.ledger.notes)
 

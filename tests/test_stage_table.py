@@ -53,6 +53,7 @@ class TestStageFold:
                 FakeSpan("iteration", {"index": 1}, 8.0),
                 _stage("route", 1.0, scope="iteration 1"),
                 FakeSpan("feas/probe", {"t": 2.0}, 0.5),
+                FakeSpan("feas/exact", {"t": 1.5}, 0.5),
                 FakeSpan("lac/round", {"round": 1}, 0.25),
             ]
         )
@@ -87,6 +88,31 @@ class TestStageFold:
         assert calls["retime/lac"] == 1
         # one row call per weighted min-area round, exactly
         assert calls["retime/lac/rounds"] == outcome.final.lac.n_wr
+
+
+    def test_fixed_period_iteration_runs_no_search(self):
+        """Iteration 2 retimes at iteration 1's T_clk: no min_period
+        stage, and no search span under it."""
+        from repro.core.planner import plan_interconnect
+        from repro.experiments.circuits import load_circuit
+
+        graph, kwargs = load_circuit("s386")
+        tracer = Tracer()
+        outcome = plan_interconnect(
+            graph,
+            max_iterations=2,
+            floorplan_iterations=300,
+            compile_cache="off",
+            tracer=tracer,
+            **kwargs,
+        )
+        assert len(outcome.iterations) == 2
+        calls = {r.name: r.calls for r in _stage_rows(tracer.spans)}
+        assert calls["iteration 1 · min_period"] == 1
+        assert "iteration 2 · min_period" not in calls
+        assert calls["iteration 2 · retime"] == 1
+        searches = [s for s in tracer.spans if s.name == "min_period/search"]
+        assert len(searches) == 1
 
 
 class FakeDoc:

@@ -227,6 +227,65 @@ class TestOutcomeJson:
             load_outcome_json(path)
 
 
+class TestFixedPeriodSnapshot:
+    """Iteration 2 retimes at iteration 1's T_clk and runs no search, so
+    it reports no T_min; snapshots carry that as ``null``."""
+
+    @pytest.fixture(scope="class")
+    def s386(self):
+        from repro.experiments.circuits import load_circuit
+
+        graph, kwargs = load_circuit("s386")
+        outcome = plan_interconnect(
+            graph,
+            max_iterations=2,
+            floorplan_iterations=300,
+            compile_cache="off",
+            **kwargs,
+        )
+        assert len(outcome.iterations) == 2
+        return outcome
+
+    def test_second_iteration_reports_no_t_min(self, s386):
+        first, second = s386.iterations
+        assert first.t_min is not None and first.t_min <= first.t_clk
+        assert second.t_min is None and second.t_clk == first.t_clk
+        assert "T_min=-" in s386.report()
+        from repro.core.flowreport import flow_report_markdown
+
+        assert "T_min = -," in flow_report_markdown(s386)
+
+    def test_json_round_trip(self, s386, tmp_path):
+        path = tmp_path / "outcome.json"
+        save_outcome_json(s386, path)
+        doc = json.loads(path.read_text())
+        assert [it["t_min"] for it in doc["iterations"]] == [
+            s386.first.t_min,
+            None,
+        ]
+        loaded = load_outcome_json(path)
+        assert loaded.first.t_min == s386.first.t_min
+        assert loaded.final.t_min is None
+        assert verify_outcome(loaded).ok
+
+    def test_old_float_snapshot_still_certifies(self, s386, tmp_path):
+        """Snapshots written before iteration 2 skipped its search carry
+        that search's T_min as a float."""
+        from repro.__main__ import main
+        from repro.retime import min_period_retiming
+
+        path = tmp_path / "outcome.json"
+        save_outcome_json(s386, path)
+        doc = json.loads(path.read_text())
+        t_min, _ = min_period_retiming(s386.final.expanded.graph)
+        doc["iterations"][1]["t_min"] = t_min
+        path.write_text(json.dumps(doc))
+        loaded = load_outcome_json(path)
+        assert loaded.final.t_min == t_min
+        assert verify_outcome(loaded).ok
+        assert main(["verify", str(path)]) == 0
+
+
 class TestCheckpointAudit:
     @pytest.fixture(scope="class")
     def ckpt_dir(self, graph, tmp_path_factory):
